@@ -2,33 +2,8 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use gm_sim::dist::Zipf;
-use gm_sim::time::SimTime;
-use gm_sim::{EventQueue, LogHistogram, RngFactory};
+use gm_sim::{LogHistogram, RngFactory};
 use rand::Rng;
-
-fn bench_event_queue(c: &mut Criterion) {
-    let mut group = c.benchmark_group("event_queue");
-    for n in [1_000usize, 10_000] {
-        group.bench_with_input(BenchmarkId::new("push_pop", n), &n, |b, &n| {
-            // Pseudo-random times from a cheap LCG to keep the bench focused
-            // on the queue, not the RNG.
-            b.iter(|| {
-                let mut q = EventQueue::new();
-                let mut x = 0x1234_5678_9abc_def0u64;
-                for i in 0..n {
-                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                    q.push(SimTime(x >> 32), i);
-                }
-                let mut sum = 0usize;
-                while let Some((_, v)) = q.pop() {
-                    sum += v;
-                }
-                black_box(sum)
-            })
-        });
-    }
-    group.finish();
-}
 
 fn bench_zipf(c: &mut Criterion) {
     let mut group = c.benchmark_group("zipf");
@@ -57,5 +32,5 @@ fn bench_histogram(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_event_queue, bench_zipf, bench_histogram);
+criterion_group!(benches, bench_zipf, bench_histogram);
 criterion_main!(benches);

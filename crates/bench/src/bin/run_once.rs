@@ -12,6 +12,9 @@
 //! record per slot (deterministic: same seed ⇒ byte-identical file);
 //! `--csv FILE` writes the key per-slot series as CSV; `--profile` prints
 //! per-phase wall-clock after the run. None of these change the report.
+//! A write error on the trace or CSV file does not stop the run: it is
+//! reported when the run ends (after the report, or at a `--halt-after`
+//! stop), and `run_once` exits 1.
 //!
 //! `--audit` runs the whole simulation under the conservation auditor
 //! (per-slot invariant checks plus the post-run deep audit), prints any
@@ -202,6 +205,8 @@ fn main() {
         builder = builder.resume_from(snap);
     }
     let resuming = snapshot.is_some();
+    // First I/O error of each file-writing observer, checked at exit.
+    let mut write_errors = Vec::new();
     if let Some(path) = &trace {
         let obs = if resuming {
             JsonlTraceObserver::append(path)
@@ -209,6 +214,7 @@ fn main() {
             JsonlTraceObserver::create(path)
         }
         .unwrap_or_else(|e| panic!("cannot open trace file {path}: {e}"));
+        write_errors.push(("trace", path.clone(), obs.error_cell()));
         builder = builder.observer(Box::new(obs));
     }
     if let Some(path) = &csv {
@@ -218,6 +224,7 @@ fn main() {
             CsvSeriesObserver::create(path)
         }
         .unwrap_or_else(|e| panic!("cannot open csv file {path}: {e}"));
+        write_errors.push(("csv", path.clone(), obs.error_cell()));
         builder = builder.observer(Box::new(obs));
     }
     let mut profile_handle = None;
@@ -252,6 +259,11 @@ fn main() {
         }
         if halt_after == Some(slot) {
             eprintln!("halted at slot {slot}; checkpoint written to {}", ck_path.display());
+            // Closing the run delivers `on_finish`, so the observers flush
+            // (and keep any flush error) before the process stops; the
+            // partial report itself is not wanted.
+            let _ = sim.into_report();
+            exit_on_write_error(&write_errors);
             return;
         }
     }
@@ -263,6 +275,7 @@ fn main() {
     });
     let report = sim.into_report();
     println!("{report}");
+    exit_on_write_error(&write_errors);
     if let Some(path) = &trace {
         eprintln!("per-slot trace written to {path}");
     }
@@ -290,5 +303,20 @@ fn main() {
             }
             std::process::exit(1);
         }
+    }
+}
+
+/// Report the first write error of each observer file and exit 1 if any
+/// observer failed to write its output.
+fn exit_on_write_error(cells: &[(&str, String, greenmatch::IoErrorCell)]) {
+    let mut failed = false;
+    for (what, path, cell) in cells {
+        if let Some(e) = cell.get() {
+            eprintln!("cannot write {what} file {path}: {e}");
+            failed = true;
+        }
+    }
+    if failed {
+        std::process::exit(1);
     }
 }

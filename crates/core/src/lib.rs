@@ -79,8 +79,8 @@ pub use audit::{AuditReport, AuditViolation, ConservationAuditor};
 pub use config::{ConfigError, EnergyConfig, ExperimentConfig, SiteConfig, SourceKind};
 pub use harness::run_experiment;
 pub use observe::{
-    CsvSeriesObserver, JsonlTraceObserver, NullObserver, Phase, PhaseProfile, PhaseTimer,
-    SlotObserver,
+    CsvSeriesObserver, IoErrorCell, JsonlTraceObserver, NullObserver, Phase, PhaseProfile,
+    PhaseTimer, SlotObserver,
 };
 pub use phases::{SlotContext, SlotScratch};
 pub use policy::{Decision, PolicyKind, SchedContext, Scheduler, SiteView};

@@ -13,6 +13,10 @@
 //! * [`JsonlTraceObserver`] — one compact JSON record per slot; output is
 //!   byte-identical across same-seed runs.
 //! * [`CsvSeriesObserver`] — the key per-slot series as CSV.
+//!
+//!   Both writing observers keep the first I/O error they hit in an
+//!   [`IoErrorCell`] (and write nothing after it) instead of aborting the
+//!   run; whoever attached them reads the cell once the run is done.
 //! * [`PhaseTimer`] — wall-clock per simulation phase
 //!   (forecast / classify / plan / gear / execute / settle), read out
 //!   through a shared handle.
@@ -22,7 +26,23 @@ use serde::Serialize;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
+
+/// The first I/O error a writing observer hit, shared with the code that
+/// attached it (observers are boxed into the simulation). Empty while
+/// every write has succeeded.
+pub type IoErrorCell = Arc<OnceLock<io::Error>>;
+
+/// Run `write` unless `cell` already holds an error; keep its error if it
+/// fails. After the first failure the output is truncated, so nothing more
+/// is written to it.
+fn write_or_keep(cell: &IoErrorCell, write: impl FnOnce() -> io::Result<()>) {
+    if cell.get().is_none() {
+        if let Err(e) = write() {
+            let _ = cell.set(e);
+        }
+    }
+}
 
 /// One phase of a simulation step, for profiling observers. The variants
 /// mirror the per-slot pipeline in [`crate::phases`] in execution order.
@@ -165,6 +185,7 @@ impl TraceRecord {
 /// runs produce byte-identical files.
 pub struct JsonlTraceObserver<W: Write> {
     out: BufWriter<W>,
+    error: IoErrorCell,
 }
 
 impl JsonlTraceObserver<File> {
@@ -187,7 +208,18 @@ impl JsonlTraceObserver<File> {
 impl<W: Write> JsonlTraceObserver<W> {
     /// Trace into the given writer.
     pub fn new(writer: W) -> Self {
-        JsonlTraceObserver { out: BufWriter::new(writer) }
+        JsonlTraceObserver { out: BufWriter::new(writer), error: IoErrorCell::default() }
+    }
+
+    /// The first I/O error of this observer, if any.
+    pub fn error(&self) -> Option<&io::Error> {
+        self.error.get()
+    }
+
+    /// A handle on the first-error cell, readable after the observer has
+    /// been boxed into a simulation.
+    pub fn error_cell(&self) -> IoErrorCell {
+        Arc::clone(&self.error)
     }
 }
 
@@ -195,11 +227,11 @@ impl<W: Write> SlotObserver for JsonlTraceObserver<W> {
     fn on_slot(&mut self, outcome: &SlotOutcome) {
         let json = serde_json::to_string(&TraceRecord::from_outcome(outcome))
             .expect("trace record serialises");
-        writeln!(self.out, "{json}").expect("write trace record");
+        write_or_keep(&self.error, || writeln!(self.out, "{json}"));
     }
 
     fn on_finish(&mut self) {
-        self.out.flush().expect("flush trace");
+        write_or_keep(&self.error, || self.out.flush());
     }
 }
 
@@ -212,6 +244,7 @@ impl<W: Write> SlotObserver for JsonlTraceObserver<W> {
 pub struct CsvSeriesObserver<W: Write> {
     out: BufWriter<W>,
     wrote_header: bool,
+    error: IoErrorCell,
 }
 
 impl CsvSeriesObserver<File> {
@@ -233,7 +266,22 @@ impl CsvSeriesObserver<File> {
 impl<W: Write> CsvSeriesObserver<W> {
     /// Write CSV into the given writer.
     pub fn new(writer: W) -> Self {
-        CsvSeriesObserver { out: BufWriter::new(writer), wrote_header: false }
+        CsvSeriesObserver {
+            out: BufWriter::new(writer),
+            wrote_header: false,
+            error: IoErrorCell::default(),
+        }
+    }
+
+    /// The first I/O error of this observer, if any.
+    pub fn error(&self) -> Option<&io::Error> {
+        self.error.get()
+    }
+
+    /// A handle on the first-error cell, readable after the observer has
+    /// been boxed into a simulation.
+    pub fn error_cell(&self) -> IoErrorCell {
+        Arc::clone(&self.error)
     }
 }
 
@@ -245,36 +293,38 @@ impl<W: Write> SlotObserver for CsvSeriesObserver<W> {
 
     fn on_slot(&mut self, o: &SlotOutcome) {
         if !self.wrote_header {
-            writeln!(
-                self.out,
-                "slot,gears,executed_batch_bytes,green_produced_wh,green_direct_wh,\
-                 battery_in_wh,battery_out_wh,grid_wh,curtailed_wh,load_wh,\
-                 battery_soc_wh,latency_p99_s"
-            )
-            .expect("write csv header");
+            write_or_keep(&self.error, || {
+                writeln!(
+                    self.out,
+                    "slot,gears,executed_batch_bytes,green_produced_wh,green_direct_wh,\
+                     battery_in_wh,battery_out_wh,grid_wh,curtailed_wh,load_wh,\
+                     battery_soc_wh,latency_p99_s"
+                )
+            });
             self.wrote_header = true;
         }
-        writeln!(
-            self.out,
-            "{},{},{},{},{},{},{},{},{},{},{},{}",
-            o.slot,
-            o.gears,
-            o.executed_batch_bytes,
-            o.energy.green_produced_wh,
-            o.energy.green_direct_wh,
-            o.energy.battery_in_wh,
-            o.energy.battery_out_wh,
-            o.energy.grid_wh,
-            o.energy.curtailed_wh,
-            o.energy.load_wh,
-            o.battery_soc_wh,
-            o.latency.p99_s,
-        )
-        .expect("write csv row");
+        write_or_keep(&self.error, || {
+            writeln!(
+                self.out,
+                "{},{},{},{},{},{},{},{},{},{},{},{}",
+                o.slot,
+                o.gears,
+                o.executed_batch_bytes,
+                o.energy.green_produced_wh,
+                o.energy.green_direct_wh,
+                o.energy.battery_in_wh,
+                o.energy.battery_out_wh,
+                o.energy.grid_wh,
+                o.energy.curtailed_wh,
+                o.energy.load_wh,
+                o.battery_soc_wh,
+                o.latency.p99_s,
+            )
+        });
     }
 
     fn on_finish(&mut self) {
-        self.out.flush().expect("flush csv");
+        write_or_keep(&self.error, || self.out.flush());
     }
 }
 

@@ -1,9 +1,10 @@
 //! Phase 5 — Execute: serve the slot's work.
 //!
-//! Serves the interactive requests (recording latency globally and into
-//! the scratch's per-slot histogram), spreads each decided batch job's
-//! bytes across the active disks (repair jobs write onto their specific
-//! replacement disk), and runs the write-log reclaim budget. For
+//! Serves the interactive requests in one `Cluster::serve_batch` pass
+//! (recording latency globally and into the scratch's per-slot
+//! histogram), spreads each decided batch job's bytes across the active
+//! disks (repair jobs write onto their specific replacement disk), and
+//! runs the write-log reclaim budget. For
 //! multi-site runs the decision's remote placements are then executed on
 //! their sites' clusters with the same spreading rule. Returns the batch
 //! bytes actually executed (all sites).
@@ -69,10 +70,7 @@ pub(crate) fn run(
     // traffic exists only at the home site.
     let SiteState { cluster, rr_cursor, .. } = &mut sim.sites[0];
     scratch.slot_hist.clear();
-    for i in 0..batch.len() {
-        let served = cluster.serve_request(&batch.request(i));
-        scratch.slot_hist.record(served.latency.as_secs_f64());
-    }
+    cluster.serve_batch(&batch, &mut scratch.slot_hist);
     // The global histogram is bucket-merged from the slot histogram rather
     // than recorded per request: identical bucket counts and max (so the
     // trace and report quantiles are unchanged), one record per request
@@ -313,10 +311,7 @@ fn run_multi_site_parallel(
                 // Home first serves the slot's interactive requests — the
                 // same cluster-op order as the sequential path.
                 if let (Some(batch), Some(h)) = (&batch, hist.as_mut()) {
-                    for r in 0..batch.len() {
-                        let served = site.cluster.serve_request(&batch.request(r));
-                        h.record(served.latency.as_secs_f64());
-                    }
+                    site.cluster.serve_batch(batch, h);
                 }
                 let mut results = Vec::with_capacity(entries.len());
                 let mut executed = 0u64;

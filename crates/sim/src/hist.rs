@@ -34,7 +34,18 @@ pub struct LogHistogram {
     memo_bits: u64,
     #[serde(default, skip_serializing_if = "always_skip")]
     memo_bucket: usize,
+    /// `bucket_upper(i)` for the first [`TABLE_BUCKETS`] buckets, built on
+    /// the first `record`. A binary search over it replaces the `ln` and
+    /// the `powi` nudges of [`Self::bucket_of`]; values past the last entry
+    /// fall back to `bucket_of`. Derived from `floor`/`factor` alone, so
+    /// it is excluded from serialization like the memo.
+    #[serde(default, skip_serializing_if = "always_skip")]
+    uppers: Vec<f64>,
 }
+
+/// Buckets covered by the lookup table: 12.8 decades at the default 20
+/// buckets per decade (1 µs to ~73 days of latency).
+const TABLE_BUCKETS: usize = 256;
 
 fn always_skip<T>(_: &T) -> bool {
     true
@@ -58,6 +69,7 @@ impl LogHistogram {
             max_seen: 0.0,
             memo_bits: 0,
             memo_bucket: 0,
+            uppers: Vec::new(),
         }
     }
 
@@ -93,6 +105,22 @@ impl LogHistogram {
         i
     }
 
+    /// Bucket index of `v` through the table of bucket upper bounds: the
+    /// first `i` with `v <= bucket_upper(i)` is the defining inequality of
+    /// [`Self::bucket_of`], so the two agree by construction (the bounds
+    /// grow monotonically).
+    fn bucket_index(&mut self, v: f64) -> usize {
+        if self.uppers.is_empty() {
+            self.uppers = (0..TABLE_BUCKETS).map(|i| self.bucket_upper(i)).collect();
+        }
+        let i = self.uppers.partition_point(|&u| u < v);
+        if i < self.uppers.len() {
+            i
+        } else {
+            self.bucket_of(v)
+        }
+    }
+
     /// Upper bound of bucket `i` — the single source of truth for bucket
     /// geometry ([`Self::bucket_of`] is derived from it).
     fn bucket_upper(&self, i: usize) -> f64 {
@@ -110,7 +138,7 @@ impl LogHistogram {
         let b = if bits == self.memo_bits {
             self.memo_bucket
         } else {
-            let b = self.bucket_of(v);
+            let b = self.bucket_index(v);
             self.memo_bits = bits;
             self.memo_bucket = b;
             b
@@ -278,6 +306,36 @@ mod tests {
                 let mut one = LogHistogram::new(1e-6, bpd);
                 one.record(edge);
                 assert_eq!(one.quantile(0.99), edge, "bpd={bpd} k={k}");
+            }
+        }
+    }
+
+    #[test]
+    fn table_bucketing_matches_bucket_of() {
+        // Every edge, one ulp either side of it, and pseudo-random values
+        // across (and past) the table's range land where `bucket_of` puts
+        // them.
+        for bpd in [1u32, 7, 20, 29, 100] {
+            let mut h = LogHistogram::new(1e-6, bpd);
+            let mut probes = vec![0.0, 1e-9, f64::MAX];
+            for k in 0..TABLE_BUCKETS + 8 {
+                let edge = h.bucket_upper(k);
+                if !edge.is_finite() {
+                    break;
+                }
+                probes.extend([edge, edge.next_down(), edge.next_up()]);
+            }
+            let mut x = 0x2545_F491_4F6C_DD1Du64 ^ bpd as u64;
+            for _ in 0..20_000 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                // Log-uniform over 1e-7 .. 1e9 s.
+                let u = (x >> 11) as f64 / (1u64 << 53) as f64;
+                probes.push(10f64.powf(-7.0 + 16.0 * u));
+            }
+            for v in probes {
+                assert_eq!(h.bucket_index(v), h.bucket_of(v), "bpd={bpd} v={v:e}");
             }
         }
     }

@@ -1,19 +1,16 @@
 //! # gm-sim — deterministic simulation kernel
 //!
-//! The GreenMatch reproduction is a *trace-driven, slot/event hybrid*
-//! simulation: scheduling decisions happen on a coarse slotted clock
-//! (1 hour by default, matching the paper-era convention of hourly
-//! renewable-energy prediction), while intra-slot storage service is
-//! resolved at microsecond resolution through a discrete-event queue.
+//! The GreenMatch reproduction is a *trace-driven, slotted* simulation:
+//! scheduling decisions happen on a coarse slotted clock (1 hour by
+//! default, matching the paper-era convention of hourly renewable-energy
+//! prediction), while intra-slot storage service is resolved at
+//! microsecond resolution on per-disk FCFS timelines (`gm-storage`).
 //!
 //! This crate provides the substrate every other crate builds on:
 //!
 //! * [`time`] — integer microsecond [`time::SimTime`] / [`time::SimDuration`]
 //!   and the slotted [`time::SlotClock`]. Integer time makes every run
 //!   bit-for-bit reproducible.
-//! * [`event`] — a generic deterministic event queue with FIFO tie-breaking.
-//! * [`engine`] — a small driver that pumps an [`event::EventQueue`] into a
-//!   model callback.
 //! * [`rng`] — named, independently-seeded RNG streams so adding a new
 //!   consumer of randomness never perturbs existing ones.
 //! * [`dist`] — the probability distributions the workload and energy models
@@ -33,8 +30,6 @@
 #![warn(missing_docs)]
 
 pub mod dist;
-pub mod engine;
-pub mod event;
 pub mod hist;
 pub mod pool;
 pub mod rng;
@@ -42,8 +37,6 @@ pub mod series;
 pub mod stats;
 pub mod time;
 
-pub use engine::{Engine, Model};
-pub use event::EventQueue;
 pub use hist::LogHistogram;
 pub use pool::WorkPool;
 pub use rng::RngFactory;

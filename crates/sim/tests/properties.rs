@@ -1,37 +1,11 @@
 //! Property tests for the simulation kernel's core data structures.
 
 use gm_sim::dist::Zipf;
-use gm_sim::time::{SimDuration, SimTime};
-use gm_sim::{EventQueue, LogHistogram, SlotClock, StreamingStats, TimeSeries};
+use gm_sim::time::SimDuration;
+use gm_sim::{LogHistogram, SlotClock, StreamingStats, TimeSeries};
 use proptest::prelude::*;
 
 proptest! {
-    #[test]
-    fn event_queue_pops_in_time_then_fifo_order(
-        events in proptest::collection::vec((0u64..1_000, 0u32..100), 0..200)
-    ) {
-        let mut q = EventQueue::new();
-        for (i, (t, tag)) in events.iter().enumerate() {
-            q.push(SimTime(*t), (*tag, i));
-        }
-        let mut last_time = SimTime::ZERO;
-        let mut last_seq_at_time: Option<usize> = None;
-        let mut popped = 0;
-        while let Some((t, (_, seq))) = q.pop() {
-            prop_assert!(t >= last_time, "time monotone");
-            if t == last_time {
-                if let Some(prev) = last_seq_at_time {
-                    prop_assert!(seq > prev, "FIFO among ties");
-                }
-            } else {
-                last_time = t;
-            }
-            last_seq_at_time = Some(seq);
-            popped += 1;
-        }
-        prop_assert_eq!(popped, events.len());
-    }
-
     #[test]
     fn histogram_quantiles_are_monotone_and_bounded(
         values in proptest::collection::vec(1e-6f64..1e3, 1..500)

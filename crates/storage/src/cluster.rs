@@ -8,10 +8,11 @@
 //!    their disks) of gears `g..` down, `..g` up. Gear 0 can never be
 //!    powered off (it holds the primary copy of every object under the gear
 //!    layout, plus the write log).
-//! 2. [`Cluster::serve_request`] — route one interactive I/O: reads go to
-//!    the least-backlogged *active* replica (with on-demand spin-up as a
-//!    last resort for layouts that orphan objects); writes hit every active
-//!    replica and off-load powered-down replicas to the write log.
+//! 2. [`Cluster::serve_batch`] / [`Cluster::serve_request`] — route a
+//!    slot's (or one) interactive I/O: reads go to the least-backlogged
+//!    *active* replica (with on-demand spin-up as a last resort for layouts
+//!    that orphan objects); writes hit every active replica and off-load
+//!    powered-down replicas to the write log.
 //! 3. [`Cluster::add_sequential_work`] / [`Cluster::reclaim`] — batch work
 //!    placement and write-log replay.
 //!
@@ -22,10 +23,12 @@
 //! reclaim replay work) is also reported separately so the loss-breakdown
 //! experiment can attribute it.
 
+use crate::batch::RequestBatch;
 use crate::cache::{LruCache, CACHE_HIT_SERVICE};
 use crate::disk::{Disk, DiskSpec};
 use crate::failure::FailureReport;
 use crate::layout::{obj_hash, LayoutKind, Topology};
+use crate::minindex::MinIndex;
 use crate::object::{DataObject, DiskIdx, ObjectId, Placement};
 use crate::queue::{DiskQueue, ServedRequest};
 use crate::request::{IoKind, IoRequest};
@@ -33,6 +36,7 @@ use crate::server::{Server, ServerSpec};
 use crate::temperature::{EwmaEstimator, EwmaParams, Temperature, TemperatureEstimator};
 use crate::writelog::WriteLog;
 use gm_sim::time::{SimDuration, SimTime};
+use gm_sim::LogHistogram;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -136,10 +140,18 @@ impl SlotEnergy {
 /// only the cheap mutable state (disks, queues, write log, counters).
 /// Nothing in the simulation mutates the directory — failures track
 /// rebuild state per *disk*, not per object.
+///
+/// The serve path reads replicas through a flattened copy of the
+/// directory (CSR: object `o`'s replicas are
+/// `replica_disks[replica_offsets[o]..replica_offsets[o + 1]]`, in replica
+/// order), so picking a replica is two array loads instead of a pointer
+/// chase into a per-object `Vec`.
 #[derive(Debug, Clone)]
 pub struct ClusterLayout {
     spec: ClusterSpec,
     directory: Vec<DataObject>,
+    replica_offsets: Vec<u32>,
+    replica_disks: Vec<u32>,
 }
 
 impl ClusterLayout {
@@ -157,8 +169,22 @@ impl ClusterLayout {
                     layout.place(&topo, id, spec.replication),
                 )
             })
-            .collect();
-        ClusterLayout { spec, directory }
+            .collect::<Vec<DataObject>>();
+        let mut replica_offsets = Vec::with_capacity(directory.len() + 1);
+        let mut replica_disks = Vec::with_capacity(directory.len() * spec.replication);
+        replica_offsets.push(0);
+        for obj in &directory {
+            replica_disks.extend(obj.replicas.iter().map(|&d| d as u32));
+            replica_offsets
+                .push(u32::try_from(replica_disks.len()).expect("replica count fits u32"));
+        }
+        ClusterLayout { spec, directory, replica_offsets, replica_disks }
+    }
+
+    /// Index range of object `obj`'s replicas in `replica_disks`.
+    #[inline]
+    fn replica_range(&self, obj: usize) -> std::ops::Range<usize> {
+        self.replica_offsets[obj] as usize..self.replica_offsets[obj + 1] as usize
     }
 
     /// The spec the layout was placed for.
@@ -283,6 +309,10 @@ struct Tiering {
     migrating: Vec<bool>,
     /// Raw bytes consumed across all placements.
     capacity_bytes: u64,
+    /// Reused buffers of the EC read's shard choice: the chosen shards
+    /// with their forced flags, and candidates being ordered by backlog.
+    pick: Vec<(DiskIdx, bool)>,
+    order: Vec<DiskIdx>,
 }
 
 /// The live cluster.
@@ -321,6 +351,15 @@ pub struct Cluster {
     cache: LruCache,
     /// Temperature-tier state (None = tiering off; the default).
     tiering: Option<Box<Tiering>>,
+    /// Per-disk availability: the server is on, the disk spinning or
+    /// spinning up, and not awaiting rebuild. Derived from `servers`,
+    /// `disks` and `pending_rebuild`, and refreshed wherever one of those
+    /// changes, so the serve path reads one flag per replica.
+    available: Vec<bool>,
+    /// Min-index over the gear-0 disks' `next_free`: the write-log disk
+    /// pick. Updated by [`Cluster::serve_on`], the only non-test caller of
+    /// `DiskQueue::serve`, which is the only writer of `next_free`.
+    log_disks: MinIndex,
 }
 
 impl Cluster {
@@ -335,7 +374,7 @@ impl Cluster {
         let spec = &layout.spec;
         let topo = spec.topology;
         let gears = topo.gears;
-        Cluster {
+        let mut cluster = Cluster {
             servers: (0..topo.servers).map(|_| Server::new(spec.server)).collect(),
             disks: (0..topo.n_disks()).map(|_| Disk::new(spec.disk)).collect(),
             queues: (0..topo.n_disks()).map(|_| DiskQueue::new()).collect(),
@@ -355,8 +394,12 @@ impl Cluster {
             total_forced_spinups: 0,
             cache: LruCache::new(spec.cache_bytes),
             tiering: None,
+            available: vec![false; topo.n_disks()],
+            log_disks: MinIndex::new(topo.disks_in_gear_range(0).map(|_| SimTime::ZERO)),
             layout,
-        }
+        };
+        cluster.refresh_available(0..topo.n_disks());
+        cluster
     }
 
     /// Turn the temperature layer on: track per-object access, classify
@@ -394,6 +437,8 @@ impl Cluster {
             ec: HashMap::new(),
             migrating: vec![false; n],
             capacity_bytes: n as u64 * spec.replication as u64 * spec.object_size_bytes,
+            pick: Vec::with_capacity(k),
+            order: Vec::with_capacity(k + m),
         }));
     }
 
@@ -631,6 +676,9 @@ impl Cluster {
         self.writelog = snap.writelog.clone();
         self.active_gears = snap.active_gears;
         self.pending_rebuild = snap.pending_rebuild.clone();
+        self.refresh_available(0..topo.n_disks());
+        self.log_disks =
+            MinIndex::new(topo.disks_in_gear_range(0).map(|d| self.queues[d].next_free()));
         // The reverse index is lazily derived from the layout; drop any
         // stale copy so the first post-restore failure rebuilds it.
         self.disk_objects = Vec::new();
@@ -822,6 +870,7 @@ impl Cluster {
         if self.servers[srv].is_on() {
             self.disks[disk].spin_up(now);
         }
+        self.refresh_available(disk..disk + 1);
         self.total_lost_objects += lost as u64;
         self.total_rebuild_bytes += rebuild_bytes;
         FailureReport { disk, affected_objects: affected, lost_objects: lost, rebuild_bytes }
@@ -842,6 +891,7 @@ impl Cluster {
     /// Declare `disk` fully re-populated.
     pub fn mark_rebuilt(&mut self, disk: DiskIdx) {
         self.pending_rebuild[disk] = false;
+        self.refresh_available(disk..disk + 1);
     }
 
     /// Lifetime forced (availability-driven) spin-up count.
@@ -849,25 +899,34 @@ impl Cluster {
         self.total_forced_spinups
     }
 
-    /// Whether the server owning `disk` is on and the disk is spinning or
-    /// in transition.
-    fn disk_available(&self, disk: DiskIdx) -> bool {
-        let srv = self.layout.spec.topology.server_of_disk(disk);
-        !self.pending_rebuild[disk]
-            && self.servers[srv].is_on()
-            && self.disks[disk].ready_at().is_some()
+    /// Recompute the availability flags of `disks` from the server, disk
+    /// and rebuild state (see the `available` field).
+    fn refresh_available(&mut self, disks: std::ops::Range<DiskIdx>) {
+        let topo = self.layout.spec.topology;
+        for d in disks {
+            self.available[d] = !self.pending_rebuild[d]
+                && self.servers[topo.server_of_disk(d)].is_on()
+                && self.disks[d].ready_at().is_some();
+        }
     }
 
     /// Ready instant of `disk`, spinning it (and booting its server) up on
     /// demand if necessary. `forced` marks availability-driven spin-ups.
     fn ensure_disk_up(&mut self, disk: DiskIdx, now: SimTime, forced: bool) -> SimTime {
-        let srv = self.layout.spec.topology.server_of_disk(disk);
+        if self.available[disk] {
+            // Server on and disk spinning (or spinning up): nothing to power.
+            return self.ready_of_available(disk, now);
+        }
+        let topo = self.layout.spec.topology;
+        let srv = topo.server_of_disk(disk);
         let mut ready = now;
-        if self.servers[srv].power_on() {
+        let booted = self.servers[srv].power_on();
+        if booted {
             self.pending_surcharge_wh += self.layout.spec.server.poweron_extra_wh();
             ready = now + SimDuration::from_secs_f64(self.layout.spec.server.poweron_latency_s);
         }
-        if self.disks[disk].spin_up(now) {
+        let spun = self.disks[disk].spin_up(now);
+        if spun {
             self.pending_surcharge_wh += self.layout.spec.disk.spinup_extra_wh();
             self.total_spinups += 1;
             if forced {
@@ -875,9 +934,23 @@ impl Cluster {
                 self.total_forced_spinups += 1;
             }
         }
+        if booted || spun {
+            self.refresh_available(topo.disks_of_server(srv));
+        }
         match self.disks[disk].ready_at() {
             Some(t) => ready.max(t),
             None => ready,
+        }
+    }
+
+    /// [`Cluster::ensure_disk_up`] for an available disk, which powers
+    /// nothing: the request waits only for a spin-up still in flight.
+    #[inline]
+    fn ready_of_available(&self, disk: DiskIdx, now: SimTime) -> SimTime {
+        debug_assert!(self.available[disk]);
+        match self.disks[disk].ready_at() {
+            Some(t) => now.max(t),
+            None => now,
         }
     }
 
@@ -918,20 +991,79 @@ impl Cluster {
             }
         }
         self.active_gears = active;
+        self.refresh_available(0..topo.n_disks());
     }
 
     /// Serve one interactive request. Returns the client-visible outcome.
+    ///
+    /// The one-request entry point over the same kernel as
+    /// [`Cluster::serve_batch`]: reads go to the least-backlogged
+    /// available replica (forced spin-up of an intact one as a last
+    /// resort), writes hit every available replica and off-load the rest
+    /// to the write log.
     pub fn serve_request(&mut self, req: &IoRequest) -> ServedRequest {
+        match (self.cache.is_enabled(), self.tiering.is_some()) {
+            (false, false) => self.serve_one::<false, false>(req),
+            (true, false) => self.serve_one::<true, false>(req),
+            (false, true) => self.serve_one::<false, true>(req),
+            (true, true) => self.serve_one::<true, true>(req),
+        }
+    }
+
+    /// Serve a slot's whole batch in one pass, in arrival order, recording
+    /// each request's latency (seconds) into `hist`. Identical, request by
+    /// request, to calling [`Cluster::serve_request`] on each
+    /// `batch.request(i)` and recording its latency; the read-cache and
+    /// tiering branches are taken once per batch instead of per request.
+    pub fn serve_batch(&mut self, batch: &RequestBatch, hist: &mut LogHistogram) {
+        self.serve_batch_with(batch, |served| hist.record(served.latency.as_secs_f64()));
+    }
+
+    /// [`Cluster::serve_batch`] with every outcome handed to `sink`.
+    fn serve_batch_with(&mut self, batch: &RequestBatch, sink: impl FnMut(ServedRequest)) {
+        match (self.cache.is_enabled(), self.tiering.is_some()) {
+            (false, false) => self.serve_all::<false, false>(batch, sink),
+            (true, false) => self.serve_all::<true, false>(batch, sink),
+            (false, true) => self.serve_all::<false, true>(batch, sink),
+            (true, true) => self.serve_all::<true, true>(batch, sink),
+        }
+    }
+
+    fn serve_all<const CACHE: bool, const TIERING: bool>(
+        &mut self,
+        batch: &RequestBatch,
+        mut sink: impl FnMut(ServedRequest),
+    ) {
+        for req in batch.iter() {
+            sink(self.serve_one::<CACHE, TIERING>(&req));
+        }
+    }
+
+    /// The per-request kernel. `CACHE` and `TIERING` must equal
+    /// `self.cache.is_enabled()` and `self.tiering.is_some()`; with the
+    /// cache off, probes, fills and invalidations are no-ops, so skipping
+    /// them changes nothing.
+    #[inline(always)]
+    fn serve_one<const CACHE: bool, const TIERING: bool>(
+        &mut self,
+        req: &IoRequest,
+    ) -> ServedRequest {
         let obj_idx = req.object.0 as usize;
-        let obj_size = self.layout.directory[obj_idx].size_bytes;
-        if let Some(t) = &mut self.tiering {
+        if TIERING {
             // Access tracking on the hot path: one saturating add.
+            let t = self.tiering.as_mut().expect("tiering on");
             t.hits[obj_idx] = t.hits[obj_idx].saturating_add(1);
         }
+        let spec = &self.layout.spec.disk;
+        // Service times, once per request: the request's own and the
+        // sequential write-log append of the same bytes.
+        let append = SimDuration::from_secs_f64(req.size_bytes as f64 / spec.transfer_bps);
+        let service =
+            if req.sequential { append } else { spec.avg_seek + spec.avg_rotation + append };
         match req.kind {
             IoKind::Read => {
                 // RAM cache absorbs hot reads without touching a disk.
-                if self.cache.probe(req.object) {
+                if CACHE && self.cache.probe(req.object) {
                     let completion = req.arrival + CACHE_HIT_SERVICE;
                     return ServedRequest {
                         start: req.arrival,
@@ -939,99 +1071,120 @@ impl Cluster {
                         latency: CACHE_HIT_SERVICE,
                     };
                 }
-                if self.tiering.as_ref().is_some_and(|t| t.ec.contains_key(&obj_idx)) {
+                if TIERING && self.is_ec(obj_idx) {
                     let served = self.serve_ec_read(req, obj_idx);
-                    self.cache.insert(req.object, obj_size);
+                    if CACHE {
+                        self.cache.insert(req.object, self.layout.spec.object_size_bytes);
+                    }
                     return served;
                 }
-                // Pick the replica under a shared borrow, mutate after: this
-                // is the per-request hot path and must not clone the replica
-                // list.
-                let (disk, forced, degraded) = {
-                    let replicas = &self.layout.directory[obj_idx].replicas;
-                    // Least-backlogged replica among available disks.
-                    let best_active = replicas
-                        .iter()
-                        .copied()
-                        .filter(|&d| self.disk_available(d))
-                        .min_by_key(|&d| self.queues[d].next_free());
-                    match best_active {
-                        Some(d) => (d, false, false),
-                        None => {
-                            // Orphaned (non-gear layouts, or failures): forced
-                            // spin-up of the least-backlogged replica that
-                            // still holds data.
-                            let intact = replicas
-                                .iter()
-                                .copied()
-                                .filter(|&d| !self.pending_rebuild[d])
-                                .min_by_key(|&d| self.queues[d].next_free());
-                            match intact {
-                                Some(d) => (d, true, false),
-                                // Every replica awaiting rebuild: degraded
-                                // service from the primary's replacement.
-                                None => (replicas[0], true, true),
-                            }
+                // Least-backlogged available replica; the first one wins ties.
+                let mut best: Option<(DiskIdx, SimTime)> = None;
+                for at in self.layout.replica_range(obj_idx) {
+                    let d = self.layout.replica_disks[at] as usize;
+                    if self.available[d] {
+                        let free = self.queues[d].next_free();
+                        if best.is_none_or(|(_, b)| free < b) {
+                            best = Some((d, free));
                         }
                     }
+                }
+                let (disk, ready) = match best {
+                    Some((d, _)) => (d, self.ready_of_available(d, req.arrival)),
+                    None => self.spin_up_for_read(obj_idx, req.arrival),
                 };
-                if degraded {
-                    self.degraded_reads += 1;
+                let served = self.serve_on(disk, req.arrival, ready, service);
+                if CACHE {
+                    self.cache.insert(req.object, self.layout.spec.object_size_bytes);
                 }
-                if forced {
-                    self.ensure_disk_up(disk, req.arrival, true);
-                }
-                let ready = self.ensure_disk_up(disk, req.arrival, false);
-                let service = self.layout.spec.disk.service_time(req.size_bytes, req.sequential);
-                let served = self.queues[disk].serve(req.arrival, ready, service, self.slot_width);
-                self.cache.insert(req.object, obj_size);
                 served
             }
             IoKind::Write => {
-                self.cache.invalidate(req.object);
-                if self.tiering.as_ref().is_some_and(|t| t.ec.contains_key(&obj_idx)) {
+                if CACHE {
+                    self.cache.invalidate(req.object);
+                }
+                if TIERING && self.is_ec(obj_idx) {
                     return self.serve_ec_write(req, obj_idx);
                 }
                 // Primary (gear 0 under the gear layout) takes the write in
-                // the client's critical path; other active replicas absorb
-                // it too; powered-down replicas are off-loaded to the log.
-                let mut ack: Option<ServedRequest> = None;
-                let n_replicas = self.layout.directory[obj_idx].replicas.len();
-                for r in 0..n_replicas {
-                    let disk = self.layout.directory[obj_idx].replicas[r];
-                    if r == 0 || self.disk_available(disk) {
-                        let ready = self.ensure_disk_up(
-                            disk,
-                            req.arrival,
-                            r == 0 && !self.disk_available(disk),
-                        );
-                        let service =
-                            self.layout.spec.disk.service_time(req.size_bytes, req.sequential);
-                        let served =
-                            self.queues[disk].serve(req.arrival, ready, service, self.slot_width);
-                        if r == 0 {
+                // the client's critical path; other available replicas
+                // absorb it too; the rest are off-loaded to the log.
+                let replicas = self.layout.replica_range(obj_idx);
+                let primary = replicas.start;
+                let mut ack = None;
+                for at in replicas {
+                    let disk = self.layout.replica_disks[at] as usize;
+                    if at == primary || self.available[disk] {
+                        let ready = self.ensure_disk_up(disk, req.arrival, at == primary);
+                        let served = self.serve_on(disk, req.arrival, ready, service);
+                        if at == primary {
                             ack = Some(served);
                         }
                     } else {
-                        let gear = self.layout.spec.topology.gear_of_disk(disk);
-                        self.writelog.offload(gear, req.size_bytes);
-                        // The log append itself: sequential write on the
-                        // least-loaded gear-0 disk.
-                        let log_disk = self
-                            .layout
-                            .spec
-                            .topology
-                            .disks_in_gear_range(0)
-                            .min_by_key(|&d| self.queues[d].next_free())
-                            .expect("gear 0 is never empty");
-                        let service = self.layout.spec.disk.service_time(req.size_bytes, true);
-                        let ready = self.ensure_disk_up(log_disk, req.arrival, false);
-                        self.queues[log_disk].serve(req.arrival, ready, service, self.slot_width);
+                        self.offload_write(disk, req.size_bytes, req.arrival, append);
                     }
                 }
                 ack.expect("primary replica always written")
             }
         }
+    }
+
+    /// Whether the temperature layer holds `obj` on erasure coding.
+    #[inline]
+    fn is_ec(&self, obj: usize) -> bool {
+        self.tiering.as_ref().is_some_and(|t| t.ec.contains_key(&obj))
+    }
+
+    /// A read with no available replica (non-gear layouts, or failures):
+    /// forced spin-up of the least-backlogged replica that still holds
+    /// data, or — every replica awaiting rebuild — degraded service from
+    /// the primary's replacement. Returns the disk and its ready instant.
+    #[cold]
+    fn spin_up_for_read(&mut self, obj_idx: usize, arrival: SimTime) -> (DiskIdx, SimTime) {
+        let replicas = &self.layout.replica_disks[self.layout.replica_range(obj_idx)];
+        let intact = replicas
+            .iter()
+            .map(|&d| d as usize)
+            .filter(|&d| !self.pending_rebuild[d])
+            .min_by_key(|&d| self.queues[d].next_free());
+        let disk = match intact {
+            Some(d) => d,
+            None => {
+                self.degraded_reads += 1;
+                replicas[0] as usize
+            }
+        };
+        self.ensure_disk_up(disk, arrival, true);
+        (disk, self.ensure_disk_up(disk, arrival, false))
+    }
+
+    /// Serve a foreground request on `disk` — the only non-test caller of
+    /// `DiskQueue::serve` — and keep the write-log disk index in step with
+    /// the disk's new `next_free`.
+    #[inline]
+    fn serve_on(
+        &mut self,
+        disk: DiskIdx,
+        arrival: SimTime,
+        ready: SimTime,
+        service: SimDuration,
+    ) -> ServedRequest {
+        let served = self.queues[disk].serve(arrival, ready, service, self.slot_width);
+        if disk < self.log_disks.len() {
+            self.log_disks.update(disk, self.queues[disk].next_free());
+        }
+        served
+    }
+
+    /// Off-load `bytes` aimed at the dark `disk` to the write log: book
+    /// them against its gear and append them (a sequential write of
+    /// duration `append`) on the least-backlogged gear-0 disk.
+    fn offload_write(&mut self, disk: DiskIdx, bytes: u64, arrival: SimTime, append: SimDuration) {
+        let gear = self.layout.spec.topology.gear_of_disk(disk);
+        self.writelog.offload(gear, bytes);
+        let log_disk = self.log_disks.min();
+        let ready = self.ensure_disk_up(log_disk, arrival, false);
+        self.serve_on(log_disk, arrival, ready, append);
     }
 
     /// Serve a read of an erasure-coded object: fan-in from the `k`
@@ -1040,59 +1193,58 @@ impl Cluster {
     /// intact shards the read is degraded — reconstruction would need data
     /// that is mid-rebuild — and is served from whatever shards exist.
     fn serve_ec_read(&mut self, req: &IoRequest, obj_idx: usize) -> ServedRequest {
-        let (k, shards) = {
-            let t = self.tiering.as_ref().expect("EC read needs tiering");
-            (t.k, t.ec[&obj_idx].clone())
-        };
-        // Choose k shards: available first, then intact (forced spin-up).
-        let mut chosen: Vec<(DiskIdx, bool)> = Vec::with_capacity(k);
-        let mut avail: Vec<DiskIdx> =
-            shards.iter().copied().filter(|&d| self.disk_available(d)).collect();
-        avail.sort_by_key(|&d| self.queues[d].next_free());
-        for &d in avail.iter().take(k) {
-            chosen.push((d, false));
+        // Detach the tier state so its shard list can be borrowed while the
+        // disks are driven: no per-request copy of the shards.
+        let mut tiering = self.tiering.take().expect("EC read needs tiering");
+        let Tiering { k, ec, pick, order, .. } = &mut *tiering;
+        let (k, shards) = (*k, &ec[&obj_idx]);
+        // Choose k shards: available first, then intact (forced spin-up),
+        // each group in backlog order with shard order breaking ties.
+        pick.clear();
+        order.clear();
+        order.extend(shards.iter().copied().filter(|&d| self.available[d]));
+        order.sort_by_key(|&d| self.queues[d].next_free());
+        pick.extend(order.iter().take(k).map(|&d| (d, false)));
+        if pick.len() < k {
+            order.clear();
+            order.extend(
+                shards
+                    .iter()
+                    .copied()
+                    .filter(|&d| !self.pending_rebuild[d] && !pick.iter().any(|&(c, _)| c == d)),
+            );
+            order.sort_by_key(|&d| self.queues[d].next_free());
+            let missing = k - pick.len();
+            pick.extend(order.iter().take(missing).map(|&d| (d, true)));
         }
-        if chosen.len() < k {
-            let mut intact: Vec<DiskIdx> = shards
-                .iter()
-                .copied()
-                .filter(|&d| !self.pending_rebuild[d] && !chosen.iter().any(|&(c, _)| c == d))
-                .collect();
-            intact.sort_by_key(|&d| self.queues[d].next_free());
-            for &d in &intact {
-                if chosen.len() == k {
-                    break;
-                }
-                chosen.push((d, true));
-            }
-        }
-        if chosen.len() < k {
+        if pick.len() < k {
             // Fewer than k intact shards: degraded service from whatever
             // shard replacements exist (mirrors the replicated fallback).
             self.degraded_reads += 1;
-            for &d in &shards {
-                if chosen.len() == k {
+            for &d in shards {
+                if pick.len() == k {
                     break;
                 }
-                if !chosen.iter().any(|&(c, _)| c == d) {
-                    chosen.push((d, true));
+                if !pick.iter().any(|&(c, _)| c == d) {
+                    pick.push((d, true));
                 }
             }
         }
         let per_shard = req.size_bytes.div_ceil(k as u64);
+        let service = self.layout.spec.disk.service_time(per_shard, req.sequential);
         let mut slowest: Option<ServedRequest> = None;
-        for &(d, forced) in &chosen {
+        for &(d, forced) in pick.iter() {
             if forced {
                 self.ensure_disk_up(d, req.arrival, true);
             }
             let ready = self.ensure_disk_up(d, req.arrival, false);
-            let service = self.layout.spec.disk.service_time(per_shard, req.sequential);
-            let served = self.queues[d].serve(req.arrival, ready, service, self.slot_width);
+            let served = self.serve_on(d, req.arrival, ready, service);
             slowest = Some(match slowest {
                 Some(prev) if prev.completion >= served.completion => prev,
                 _ => served,
             });
         }
+        self.tiering = Some(tiering);
         // The client sees the slowest shard (k-fan-in barrier).
         slowest.expect("k >= 1 shards served")
     }
@@ -1101,36 +1253,24 @@ impl Cluster {
     /// all `k + m` shards. Shard 0 carries the ack; powered-down shards
     /// off-load to the write log exactly like replicated writes.
     fn serve_ec_write(&mut self, req: &IoRequest, obj_idx: usize) -> ServedRequest {
-        let (k, n_shards, shards) = {
-            let t = self.tiering.as_ref().expect("EC write needs tiering");
-            (t.k, t.k + t.m, t.ec[&obj_idx].clone())
-        };
-        let per_shard = req.size_bytes.div_ceil(k as u64);
-        let mut ack: Option<ServedRequest> = None;
-        for (s, &disk) in shards.iter().enumerate().take(n_shards) {
-            if s == 0 || self.disk_available(disk) {
-                let ready =
-                    self.ensure_disk_up(disk, req.arrival, s == 0 && !self.disk_available(disk));
-                let service = self.layout.spec.disk.service_time(per_shard, req.sequential);
-                let served = self.queues[disk].serve(req.arrival, ready, service, self.slot_width);
+        let tiering = self.tiering.take().expect("EC write needs tiering");
+        let shards = &tiering.ec[&obj_idx];
+        let per_shard = req.size_bytes.div_ceil(tiering.k as u64);
+        let service = self.layout.spec.disk.service_time(per_shard, req.sequential);
+        let append = self.layout.spec.disk.service_time(per_shard, true);
+        let mut ack = None;
+        for (s, &disk) in shards.iter().enumerate().take(tiering.k + tiering.m) {
+            if s == 0 || self.available[disk] {
+                let ready = self.ensure_disk_up(disk, req.arrival, s == 0);
+                let served = self.serve_on(disk, req.arrival, ready, service);
                 if s == 0 {
                     ack = Some(served);
                 }
             } else {
-                let gear = self.layout.spec.topology.gear_of_disk(disk);
-                self.writelog.offload(gear, per_shard);
-                let log_disk = self
-                    .layout
-                    .spec
-                    .topology
-                    .disks_in_gear_range(0)
-                    .min_by_key(|&d| self.queues[d].next_free())
-                    .expect("gear 0 is never empty");
-                let service = self.layout.spec.disk.service_time(per_shard, true);
-                let ready = self.ensure_disk_up(log_disk, req.arrival, false);
-                self.queues[log_disk].serve(req.arrival, ready, service, self.slot_width);
+                self.offload_write(disk, per_shard, req.arrival, append);
             }
         }
+        self.tiering = Some(tiering);
         ack.expect("shard 0 always written")
     }
 
@@ -1183,7 +1323,7 @@ impl Cluster {
         let mut sum = 0.0;
         let mut n = 0usize;
         for d in 0..self.disks.len() {
-            if self.disk_available(d) {
+            if self.available[d] {
                 sum += self.queues[d].backlog_at(now).as_secs_f64();
                 n += 1;
             }
@@ -1265,6 +1405,9 @@ impl Cluster {
                     + topo.bays as f64 * self.layout.spec.disk.standby_w)
     }
 }
+
+#[cfg(test)]
+mod serve_kernel_equivalence;
 
 #[cfg(test)]
 mod tests {

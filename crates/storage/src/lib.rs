@@ -25,6 +25,8 @@
 //! * [`writelog`] — write off-loading for powered-down gears and the
 //!   reclaim (replay) bookkeeping.
 //! * [`request`] — I/O request types.
+//! * [`batch`] — one slot's requests as columns ([`RequestBatch`]), the
+//!   unit [`Cluster::serve_batch`] serves in one pass.
 //! * [`temperature`] — hot/warm/cold classification (EWMA with hysteresis)
 //!   driving replicated↔erasure-coded tier migration.
 //!
@@ -33,11 +35,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod batch;
 pub mod cache;
 pub mod cluster;
 pub mod disk;
 pub mod failure;
 pub mod layout;
+mod minindex;
 pub mod object;
 pub mod queue;
 pub mod request;
@@ -45,6 +49,7 @@ pub mod server;
 pub mod temperature;
 pub mod writelog;
 
+pub use batch::RequestBatch;
 pub use cache::LruCache;
 pub use cluster::{Cluster, ClusterLayout, ClusterSnapshot, ClusterSpec, GearState};
 pub use disk::{Disk, DiskPowerState, DiskSpec};

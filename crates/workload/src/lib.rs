@@ -26,7 +26,6 @@
 #![warn(missing_docs)]
 
 pub mod batch;
-pub mod columns;
 pub mod feed;
 pub mod interactive;
 pub mod job;
@@ -34,8 +33,9 @@ pub mod stats;
 pub mod trace;
 
 pub use batch::BatchGenerator;
-pub use columns::RequestBatch;
 pub use feed::{EventFeed, FeedBatch, FeedSender};
+/// The columnar slot batch lives next to the cluster that serves it.
+pub use gm_storage::RequestBatch;
 pub use interactive::{InteractiveError, InteractiveSpec, InteractiveStream, LiveCursor};
 pub use job::{BatchJob, BatchKind, JobId, JobState};
 pub use stats::{characterize, WorkloadStats};

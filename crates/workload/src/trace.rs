@@ -10,13 +10,12 @@
 //! (one row per job), the substitution point for a user's real trace.
 
 use crate::batch::{BatchGenerator, BatchSpec};
-use crate::columns::RequestBatch;
 use crate::interactive::{InteractiveGenerator, InteractiveSpec};
 use crate::job::{BatchJob, BatchKind, JobId, JobState};
 use gm_sim::pool::Task;
 use gm_sim::time::SimTime;
 use gm_sim::{RngFactory, SlotClock, WorkPool};
-use gm_storage::IoRequest;
+use gm_storage::{IoRequest, RequestBatch};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};

@@ -15,6 +15,9 @@ cargo test --workspace -q
 echo "==> warm-start byte-identity gate (warm vs cold traces)"
 cargo test -q --test telemetry warm_start
 
+echo "==> serve-kernel equivalence gate (serve_batch vs per-request oracle)"
+cargo test -q -p gm-storage serve_kernel_equivalence
+
 echo "==> snapshot/resume byte-identity gate (branch vs cold)"
 cargo test -q --test snapshot
 

@@ -16,7 +16,7 @@ use std::sync::{Arc, Mutex};
 
 use greenmatch::config::ExperimentConfig;
 use greenmatch::harness::run_experiment;
-use greenmatch::observe::{JsonlTraceObserver, NullObserver};
+use greenmatch::observe::{CsvSeriesObserver, JsonlTraceObserver, NullObserver};
 use greenmatch::simulation::Simulation;
 
 const GOLDEN_PATH: &str = "tests/golden/small_demo_trace.jsonl";
@@ -364,4 +364,55 @@ fn null_observer_does_not_change_the_report() {
         serde_json::to_string(&observed).unwrap(),
         "NullObserver must be invisible to the report"
     );
+}
+
+/// A writer that accepts `budget` bytes, then fails every write and flush.
+struct FailingWriter {
+    budget: usize,
+}
+
+impl Write for FailingWriter {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        if self.budget == 0 {
+            return Err(std::io::Error::other("disk full"));
+        }
+        let n = buf.len().min(self.budget);
+        self.budget -= n;
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        if self.budget == 0 {
+            Err(std::io::Error::other("disk full"))
+        } else {
+            Ok(())
+        }
+    }
+}
+
+#[test]
+fn observer_write_errors_are_kept_and_the_run_completes() {
+    // The trace writer fails mid-run (on a buffer spill), the CSV writer
+    // only at the final flush; neither may abort the run or change it.
+    let cfg = ExperimentConfig::small_demo(3).with_slots(72);
+    let plain = run_experiment(&cfg);
+    let trace = JsonlTraceObserver::new(FailingWriter { budget: 1_000 });
+    let csv = CsvSeriesObserver::new(FailingWriter { budget: 100 });
+    assert!(trace.error().is_none() && csv.error().is_none());
+    let (trace_error, csv_error) = (trace.error_cell(), csv.error_cell());
+    let observed = Simulation::builder(&cfg)
+        .observer(Box::new(trace))
+        .observer(Box::new(csv))
+        .build()
+        .expect("config materialises")
+        .run_to_end();
+    assert_eq!(
+        serde_json::to_string(&plain).unwrap(),
+        serde_json::to_string(&observed).unwrap(),
+        "a failing observer must not change the report"
+    );
+    for (name, cell) in [("trace", trace_error), ("csv", csv_error)] {
+        let error = cell.get().unwrap_or_else(|| panic!("{name} observer kept no error"));
+        assert_eq!(error.to_string(), "disk full", "{name}");
+    }
 }
