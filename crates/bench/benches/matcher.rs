@@ -1,7 +1,6 @@
 //! Scaling of the min-cost-flow matcher with job count and horizon — the
-//! per-slot planning cost a deployment would pay. Uses a cold handle per
-//! configuration so the numbers reflect a from-scratch solve; see
-//! `matcher_kernel` for the warm-start comparison.
+//! per-slot planning cost a deployment would pay. Every solve rebuilds
+//! its network, so the numbers are those of a from-scratch solve.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use gm_storage::ClusterSpec;
@@ -33,7 +32,6 @@ fn bench_matcher(c: &mut Criterion) {
             let g = green(horizon);
             let busy = vec![500.0; horizon];
             let mut matcher = Matcher::new();
-            matcher.set_warm_start(false);
             group.bench_with_input(
                 BenchmarkId::new(format!("jobs{n_jobs}"), horizon),
                 &horizon,

@@ -40,8 +40,6 @@ pub fn medium_cfg(ctx: &ExpContext, policy: PolicyKind) -> ExperimentConfig {
         clock: SlotClock::hourly(),
         sites: Vec::new(),
         wan_cost_per_unit: 0,
-        matcher_warm_start: true,
-        site_parallel: true,
         tiering: None,
         admission: None,
         feed_arrivals: false,

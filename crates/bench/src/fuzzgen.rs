@@ -99,12 +99,6 @@ pub fn fuzz_config(rng: &mut TestRng) -> ExperimentConfig {
             DischargeStrategy::Reserve(0.75),
         ],
     );
-    // Mostly warm-started matchers (the default), with occasional cold
-    // runs so the fuzzer also exercises the rebuild-every-slot path.
-    cfg.matcher_warm_start = !rng.next_u64().is_multiple_of(4);
-    // Mostly site-parallel phases (the default), with occasional
-    // sequential runs so the fuzzer covers the reference path too.
-    cfg.site_parallel = !rng.next_u64().is_multiple_of(4);
     // Stream-count dimension: occasionally re-spread the interactive half
     // over up to 10⁴ sessions (aggregate volume unchanged), exercising the
     // activation index and shard-parallel synthesis at off-preset sizes.
@@ -188,7 +182,7 @@ pub fn describe(cfg: &ExperimentConfig) -> String {
         Some(a) => format!("α{}/d{}", a.alpha, a.defer_slots),
     };
     format!(
-        "seed={} slots={} sites={} policy={} battery={} discharge={:?} forecast={:?} wan={} failures={} streams={} site_par={} tiering={} admission={} feed={}",
+        "seed={} slots={} sites={} policy={} battery={} discharge={:?} forecast={:?} wan={} failures={} streams={} tiering={} admission={} feed={}",
         cfg.seed,
         cfg.slots,
         cfg.n_sites(),
@@ -199,7 +193,6 @@ pub fn describe(cfg: &ExperimentConfig) -> String {
         cfg.wan_cost_per_unit,
         cfg.failures.is_some(),
         cfg.workload.interactive.streams,
-        cfg.site_parallel,
         tiering,
         admission,
         cfg.feed_arrivals,
@@ -321,7 +314,6 @@ mod tests {
         let mut with_battery = 0;
         let mut with_failures = 0;
         let mut respread = 0;
-        let mut sequential = 0;
         let mut tiered = 0;
         let mut big_stripe = 0;
         let mut gated = 0;
@@ -334,7 +326,6 @@ mod tests {
             with_battery += cfg.energy.battery.is_some() as u32;
             with_failures += cfg.failures.is_some() as u32;
             respread += (cfg.workload.interactive.streams != 100) as u32;
-            sequential += (!cfg.site_parallel) as u32;
             tiered += cfg.tiering.is_some() as u32;
             big_stripe += cfg.tiering.is_some_and(|t| t.ec_k == 6) as u32;
             gated += cfg.admission.is_some() as u32;
@@ -344,7 +335,6 @@ mod tests {
         assert!(with_battery > 20, "battery configs must be common ({with_battery}/64)");
         assert!(with_failures > 5, "failure configs must appear ({with_failures}/64)");
         assert!(respread > 5, "off-preset stream counts must appear ({respread}/64)");
-        assert!(sequential > 5, "sequential-phase configs must appear ({sequential}/64)");
         assert!(tiered > 5, "tiered configs must appear ({tiered}/64)");
         assert!(big_stripe > 0, "both EC geometries must appear ({big_stripe}/64)");
         assert!(gated > 5, "admission-gated configs must appear ({gated}/64)");

@@ -410,23 +410,6 @@ pub struct ExperimentConfig {
     /// (one unit = [`crate::matcher::UNIT_BYTES`]). 0 = free transfers.
     #[serde(default)]
     pub wan_cost_per_unit: i64,
-    /// Let the matcher warm-start its min-cost-flow network between slots
-    /// (re-pricing only the arcs whose bins changed) instead of rebuilding
-    /// it from scratch every solve. The two paths produce byte-identical
-    /// schedules — this knob exists for A/B timing and fuzzing, not for
-    /// accuracy trade-offs. Defaults to `true`; omitted from archived JSON
-    /// unless disabled.
-    #[serde(default = "default_warm_start", skip_serializing_if = "is_warm_default")]
-    pub matcher_warm_start: bool,
-    /// Run the per-site portions of the Forecast and Execute phases of a
-    /// multi-site slot on the worker pool instead of site-by-site. The two
-    /// paths produce byte-identical traces at any thread count (job bytes
-    /// are assigned in a sequential shadow pass; only the per-site disk
-    /// mechanics fan out) — this knob exists for A/B verification and
-    /// fuzzing, not for accuracy trade-offs. Single-site runs ignore it.
-    /// Defaults to `true`; omitted from archived JSON unless disabled.
-    #[serde(default = "default_warm_start", skip_serializing_if = "is_warm_default")]
-    pub site_parallel: bool,
     /// Temperature-tiered storage: hot/warm/cold classification with
     /// erasure-coded demotion of cold objects, migration bytes scheduled
     /// through the matcher. `None` (the default, omitted from archived
@@ -447,14 +430,6 @@ pub struct ExperimentConfig {
     /// trade-offs. Defaults to `false`; omitted from archived JSON.
     #[serde(default, skip_serializing_if = "is_false")]
     pub feed_arrivals: bool,
-}
-
-fn default_warm_start() -> bool {
-    true
-}
-
-fn is_warm_default(on: &bool) -> bool {
-    *on
 }
 
 fn is_false(on: &bool) -> bool {
@@ -484,8 +459,6 @@ impl ExperimentConfig {
             clock: SlotClock::hourly(),
             sites: Vec::new(),
             wan_cost_per_unit: 0,
-            matcher_warm_start: true,
-            site_parallel: true,
             tiering: None,
             admission: None,
             feed_arrivals: false,
@@ -515,8 +488,6 @@ impl ExperimentConfig {
             clock: SlotClock::hourly(),
             sites: Vec::new(),
             wan_cost_per_unit: 0,
-            matcher_warm_start: true,
-            site_parallel: true,
             tiering: None,
             admission: None,
             feed_arrivals: false,
@@ -614,22 +585,6 @@ impl ExperimentConfig {
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Enable or disable the matcher's warm-start path (see
-    /// [`Self::matcher_warm_start`]).
-    #[must_use]
-    pub fn with_matcher_warm_start(mut self, on: bool) -> Self {
-        self.matcher_warm_start = on;
-        self
-    }
-
-    /// Enable or disable per-site phase parallelism (see
-    /// [`Self::site_parallel`]).
-    #[must_use]
-    pub fn with_site_parallel(mut self, on: bool) -> Self {
-        self.site_parallel = on;
         self
     }
 
@@ -819,31 +774,24 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_knob_defaults_on_and_roundtrips() {
+    fn retired_knobs_in_archived_json_are_ignored() {
+        // Configs and snapshots archived while `matcher_warm_start` and
+        // `site_parallel` existed still load; the fields select nothing.
+        const RETIRED: &str = r#""matcher_warm_start":false,"site_parallel":false,"#;
         let cfg = ExperimentConfig::small_demo(3);
-        assert!(cfg.matcher_warm_start);
         let json = serde_json::to_string(&cfg).expect("serialises");
-        assert!(!json.contains("matcher_warm_start"), "default stays out of archived JSON");
-        let back: ExperimentConfig = serde_json::from_str(&json).expect("parses");
-        assert!(back.matcher_warm_start, "omitted field deserialises to on");
-        let cold = cfg.with_matcher_warm_start(false);
-        let json = serde_json::to_string(&cold).expect("serialises");
-        let back: ExperimentConfig = serde_json::from_str(&json).expect("parses");
-        assert!(!back.matcher_warm_start);
-    }
+        assert!(!json.contains("matcher_warm_start") && !json.contains("site_parallel"));
+        let archived = json.replacen('{', &format!("{{{RETIRED}"), 1);
+        let back: ExperimentConfig = serde_json::from_str(&archived).expect("parses");
+        assert_eq!(serde_json::to_string(&back).expect("serialises"), json);
 
-    #[test]
-    fn site_parallel_knob_defaults_on_and_roundtrips() {
-        let cfg = ExperimentConfig::small_demo(3);
-        assert!(cfg.site_parallel);
-        let json = serde_json::to_string(&cfg).expect("serialises");
-        assert!(!json.contains("site_parallel"), "default stays out of archived JSON");
-        let back: ExperimentConfig = serde_json::from_str(&json).expect("parses");
-        assert!(back.site_parallel, "omitted field deserialises to on");
-        let seq = cfg.with_site_parallel(false);
-        let json = serde_json::to_string(&seq).expect("serialises");
-        let back: ExperimentConfig = serde_json::from_str(&json).expect("parses");
-        assert!(!back.site_parallel);
+        let mut sim = crate::Simulation::builder(&cfg.with_slots(4)).build().expect("builds");
+        sim.step();
+        let snap = sim.snapshot().to_json();
+        let archived = snap.replacen(r#""cfg":{"#, &format!(r#""cfg":{{{RETIRED}"#), 1);
+        assert_ne!(archived, snap, "the snapshot embeds its config");
+        let back = crate::Snapshot::from_json(&archived).expect("parses");
+        assert_eq!(back.to_json(), snap);
     }
 
     #[test]

@@ -114,63 +114,6 @@ impl MinCostFlow {
         self.graph[e.to][e.rev].cap
     }
 
-    /// Number of user-added edges.
-    #[must_use]
-    pub fn edge_count(&self) -> usize {
-        self.handles.len()
-    }
-
-    /// The capacity and per-unit cost an edge was last configured with
-    /// (its pre-solve parameters — any flow pushed by `solve` is added
-    /// back, so the answer is stable across solves).
-    #[must_use]
-    pub fn edge_params(&self, id: EdgeId) -> (i64, i64) {
-        let (from, idx) = self.handles[id.0];
-        let e = self.graph[from][idx];
-        (e.cap + self.graph[e.to][e.rev].cap, e.cost)
-    }
-
-    /// Zero every edge's flow, restoring each to its configured capacity.
-    /// After `rewind` the network is indistinguishable from one freshly
-    /// built with the same `add_edge` sequence — the warm-start entry
-    /// point: rewind, re-price changed arcs with [`Self::set_edge`], and
-    /// re-solve.
-    pub fn rewind(&mut self) {
-        for &(from, idx) in &self.handles {
-            let (to, rev) = {
-                let e = &self.graph[from][idx];
-                (e.to, e.rev)
-            };
-            let pushed = self.graph[to][rev].cap;
-            if pushed != 0 {
-                self.graph[to][rev].cap = 0;
-                self.graph[from][idx].cap += pushed;
-            }
-        }
-    }
-
-    /// Re-price an existing edge in place: set its capacity and per-unit
-    /// cost without touching the graph topology. The edge must carry no
-    /// flow (call [`Self::rewind`] first); the reverse edge's cost is kept
-    /// consistent.
-    ///
-    /// # Panics
-    ///
-    /// If `cap` is negative or the edge still carries flow.
-    pub fn set_edge(&mut self, id: EdgeId, cap: i64, cost: i64) {
-        assert!(cap >= 0, "capacity must be non-negative");
-        let (from, idx) = self.handles[id.0];
-        let (to, rev) = {
-            let e = &self.graph[from][idx];
-            (e.to, e.rev)
-        };
-        assert_eq!(self.graph[to][rev].cap, 0, "edge carries flow; rewind first");
-        let e = &mut self.graph[from][idx];
-        e.cap = cap;
-        e.cost = cost;
-        self.graph[to][rev].cost = -cost;
-    }
-
     /// Push up to `max_flow` units from `s` to `t` at minimum total cost.
     /// Stops early when no augmenting path remains (the returned flow is
     /// then the max flow ≤ `max_flow`).
@@ -375,66 +318,6 @@ mod tests {
         let r = g.solve(0, 1, 5);
         assert_eq!(r.flow, 0);
         assert_eq!(g.flow_on(e), 0);
-    }
-
-    #[test]
-    fn rewind_restores_configured_capacities() {
-        let mut g = MinCostFlow::new(4);
-        let a = g.add_edge(0, 1, 3, 1);
-        let b = g.add_edge(1, 3, 3, 1);
-        let _ = g.solve(0, 3, 10);
-        assert_eq!(g.flow_on(a), 3);
-        g.rewind();
-        assert_eq!(g.flow_on(a), 0);
-        assert_eq!(g.flow_on(b), 0);
-        assert_eq!(g.edge_params(a), (3, 1));
-        // Re-solving the rewound network reproduces the original result.
-        let r = g.solve(0, 3, 10);
-        assert_eq!(r, FlowResult { flow: 3, cost: 6 });
-    }
-
-    #[test]
-    fn set_edge_reprices_like_a_rebuild() {
-        // Warm path: solve, rewind, re-price, re-solve — must equal a cold
-        // network built directly with the new parameters.
-        let mut warm = MinCostFlow::new(4);
-        let wa = warm.add_edge(0, 1, 3, 1);
-        let wb = warm.add_edge(1, 3, 3, 1);
-        let wc = warm.add_edge(0, 3, 2, 10);
-        let _ = warm.solve(0, 3, 10);
-        warm.rewind();
-        warm.set_edge(wa, 5, 2);
-        warm.set_edge(wb, 1, 2);
-        let rw = warm.solve(0, 3, 10);
-
-        let mut cold = MinCostFlow::new(4);
-        let ca = cold.add_edge(0, 1, 5, 2);
-        let cb = cold.add_edge(1, 3, 1, 2);
-        let cc = cold.add_edge(0, 3, 2, 10);
-        let rc = cold.solve(0, 3, 10);
-        assert_eq!(rw, rc);
-        assert_eq!(warm.flow_on(wa), cold.flow_on(ca));
-        assert_eq!(warm.flow_on(wb), cold.flow_on(cb));
-        assert_eq!(warm.flow_on(wc), cold.flow_on(cc));
-    }
-
-    #[test]
-    fn edge_params_reports_configuration_across_solves() {
-        let mut g = MinCostFlow::new(2);
-        let e = g.add_edge(0, 1, 5, 3);
-        assert_eq!(g.edge_params(e), (5, 3));
-        let _ = g.solve(0, 1, 10);
-        assert_eq!(g.edge_params(e), (5, 3), "params are pre-solve values");
-        assert_eq!(g.edge_count(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "rewind first")]
-    fn set_edge_with_flow_panics() {
-        let mut g = MinCostFlow::new(2);
-        let e = g.add_edge(0, 1, 5, 3);
-        let _ = g.solve(0, 1, 10);
-        g.set_edge(e, 7, 1);
     }
 
     #[test]

@@ -7,11 +7,10 @@
 //! so each slot is computed once per run instead of once per horizon
 //! overlap).
 //!
-//! With `cfg.site_parallel` (the default), a multi-site slot runs the
-//! per-site forecaster predictions as pool tasks — each site's prediction
-//! touches only its own forecaster and target buffer, and results are
-//! reassembled by site index, so the fan-out is byte-identical to the
-//! sequential walk at any thread count.
+//! A single site predicts inline; a multi-site slot runs the per-site
+//! predictions as pool tasks. Each prediction touches only its own
+//! forecaster and target buffer, and results are reassembled by site
+//! index, so the trace is identical at any thread count.
 
 use super::{SlotContext, SlotScratch};
 use crate::scheduler::DEFAULT_HORIZON;
@@ -37,23 +36,10 @@ pub(crate) fn run(sim: &mut Simulation, ctx: &SlotContext, scratch: &mut SlotScr
         scratch.remote_green_forecast_wh.push(Vec::new());
     }
 
-    if n_remote > 0 && sim.cfg.site_parallel {
-        predict_parallel(sim, ctx, scratch);
+    if n_remote == 0 {
+        predict_site(&mut sim.sites[0], ctx, &mut scratch.green_forecast_wh);
     } else {
-        let home = &mut sim.sites[0];
-        home.forecaster.predict_into(ctx.slot, DEFAULT_HORIZON, &mut scratch.green_forecast_wh);
-        for w in &mut scratch.green_forecast_wh {
-            *w *= ctx.hours;
-        }
-
-        // Remote sites get the same treatment into their own buffers
-        // (entry i serves site i + 1). Single-site runs never touch these.
-        for (site, buf) in sim.sites[1..].iter_mut().zip(&mut scratch.remote_green_forecast_wh) {
-            site.forecaster.predict_into(ctx.slot, DEFAULT_HORIZON, buf);
-            for w in buf.iter_mut() {
-                *w *= ctx.hours;
-            }
-        }
+        predict_parallel(sim, ctx, scratch);
     }
 
     // Admission gate's supply view: the α-confidence *lower* band per
@@ -88,6 +74,14 @@ pub(crate) fn run(sim: &mut Simulation, ctx: &SlotContext, scratch: &mut SlotScr
     }
 }
 
+/// One site's green forecast over the planning window, in Wh per slot.
+fn predict_site(site: &mut SiteState, ctx: &SlotContext, buf: &mut Vec<f64>) {
+    site.forecaster.predict_into(ctx.slot, DEFAULT_HORIZON, buf);
+    for w in buf.iter_mut() {
+        *w *= ctx.hours;
+    }
+}
+
 /// One site's prediction task result: the site handed back with its
 /// filled forecast buffer.
 type PredictResult = (SiteState, Vec<f64>);
@@ -96,8 +90,7 @@ type PredictResult = (SiteState, Vec<f64>);
 /// [`SiteState`] and target buffer (home's is `green_forecast_wh`, site
 /// `i + 1`'s is `remote_green_forecast_wh[i]`), reassembled by index.
 fn predict_parallel(sim: &mut Simulation, ctx: &SlotContext, scratch: &mut SlotScratch) {
-    let slot = ctx.slot;
-    let hours = ctx.hours;
+    let ctx = *ctx;
     let sites = std::mem::take(&mut sim.sites);
     let n = sites.len();
     let cells: Arc<Vec<Mutex<Option<PredictResult>>>> =
@@ -113,10 +106,7 @@ fn predict_parallel(sim: &mut Simulation, ctx: &SlotContext, scratch: &mut SlotS
             };
             let cells = Arc::clone(&cells);
             Box::new(move || {
-                site.forecaster.predict_into(slot, DEFAULT_HORIZON, &mut buf);
-                for w in &mut buf {
-                    *w *= hours;
-                }
+                predict_site(&mut site, &ctx, &mut buf);
                 *cells[i].lock().expect("forecast cell") = Some((site, buf));
             }) as Task
         })

@@ -47,6 +47,8 @@ pub(crate) mod gear;
 pub(crate) mod plan;
 pub(crate) mod settle;
 
+use std::collections::HashMap;
+
 use gm_sim::time::SimTime;
 use gm_sim::{LogHistogram, SimDuration, SlotClock};
 
@@ -89,9 +91,12 @@ pub struct SlotScratch {
     /// Columnar table of the pending jobs as policies see them. Written by
     /// [`classify`], read by [`plan`].
     pub jobs: JobColumns,
-    /// Disk indices of the gears powered this slot. Written and read by
-    /// [`execute`].
-    pub active_disks: Vec<usize>,
+    /// Per-site work lists of the slot (index = site). Written and read
+    /// by [`execute`].
+    pub(crate) site_work: Vec<execute::SiteWork>,
+    /// Bytes of each job (by job-table index) already assigned this slot.
+    /// Written and read by [`execute`].
+    pub(crate) consumed: HashMap<usize, u64>,
     /// Latency histogram of this slot alone (the global histogram lives on
     /// the simulation). Cleared and refilled by [`execute`], read when the
     /// [`crate::simulation::SlotOutcome`] is assembled.
@@ -101,7 +106,7 @@ pub struct SlotScratch {
     /// read by [`plan`]. Always empty for single-site runs.
     pub remote_green_forecast_wh: Vec<Vec<f64>>,
     /// Batch bytes executed per site this slot (index = site). Written by
-    /// [`execute`] for multi-site runs only; empty otherwise.
+    /// [`execute`].
     pub site_executed_bytes: Vec<u64>,
     /// α-confidence **lower** band of green energy per horizon slot (Wh),
     /// summed across sites. Written by [`forecast`] and read by
@@ -126,7 +131,8 @@ impl Default for SlotScratch {
             green_forecast_wh: Vec::new(),
             interactive_busy_secs: Vec::new(),
             jobs: JobColumns::new(),
-            active_disks: Vec::new(),
+            site_work: Vec::new(),
+            consumed: HashMap::new(),
             slot_hist: LogHistogram::for_latency_secs(),
             remote_green_forecast_wh: Vec::new(),
             site_executed_bytes: Vec::new(),

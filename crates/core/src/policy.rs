@@ -416,12 +416,6 @@ pub trait Scheduler {
     fn matcher_residual_units(&self) -> i64 {
         0
     }
-
-    /// Enable or disable the matcher's warm-start fast path. A no-op for
-    /// policies without a matcher; the simulation threads
-    /// [`crate::config::ExperimentConfig::matcher_warm_start`] through here
-    /// so equivalence tests can force the cold reference path.
-    fn set_warm_start(&mut self, _on: bool) {}
 }
 
 /// Config-friendly identifier for the built-in policies.

@@ -40,8 +40,8 @@ pub struct GreenMatchPolicy {
     /// intensity instead of uniformly, steering unavoidable brown work into
     /// the cleanest hours of the window.
     carbon_aware: bool,
-    /// The stateful matcher handle: flow network, work vectors and
-    /// warm-start state, retained across slots.
+    /// The stateful matcher handle: flow network and work vectors,
+    /// retained across slots.
     matcher: Matcher,
     // Per-slot work buffers, reused across decisions so the steady-state
     // decide path allocates only the Decision it returns.
@@ -96,11 +96,6 @@ impl GreenMatchPolicy {
     /// Stable classification: is this job deferrable under the fraction?
     pub fn is_deferrable(&self, id: JobId) -> bool {
         is_deferrable_at(self.delay_fraction, id)
-    }
-
-    /// The policy's matcher handle (diagnostics: warm/cold solve counts).
-    pub fn matcher(&self) -> &Matcher {
-        &self.matcher
     }
 }
 
@@ -273,10 +268,6 @@ impl Scheduler for GreenMatchPolicy {
 
     fn matcher_residual_units(&self) -> i64 {
         self.last_unaccounted_units
-    }
-
-    fn set_warm_start(&mut self, on: bool) {
-        self.matcher.set_warm_start(on);
     }
 }
 

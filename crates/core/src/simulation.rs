@@ -543,8 +543,7 @@ impl<'s> Simulation<'s> {
             });
         }
 
-        let mut policy = cfg.policy.build();
-        policy.set_warm_start(cfg.matcher_warm_start);
+        let policy = cfg.policy.build();
         let home_model = sites[0].model;
 
         let positioning_s =

@@ -82,25 +82,11 @@ impl World {
         &self.sites[0].layout
     }
 
-    /// Cold-materialise every component, bypassing any cache.
-    ///
-    /// Component build order (layouts, workload, traces) matches the
-    /// historic `Simulation::try_new`, so error reporting is unchanged: a
-    /// missing trace file still surfaces only after the cluster and
-    /// workload build.
+    /// Materialise every component through a fresh, private
+    /// [`WorldCache`]: nothing is shared with other worlds, but sites with
+    /// identical cluster sections share one placed layout.
     pub fn try_materialize(cfg: &ExperimentConfig) -> Result<World, ConfigError> {
-        cfg.validate_sites()?;
-        let site_cfgs = cfg.site_configs();
-        let layouts: Vec<Arc<ClusterLayout>> =
-            site_cfgs.iter().map(|s| Arc::new(ClusterLayout::new(s.cluster.clone()))).collect();
-        let workload = Arc::new(Workload::generate(cfg.workload.clone(), cfg.seed));
-        let mut sites = Vec::with_capacity(site_cfgs.len());
-        for (i, (site, layout)) in site_cfgs.iter().zip(layouts).enumerate() {
-            let rngs = RngFactory::new(cfg.site_seed(i));
-            let green_trace = Arc::new(site.try_materialize_trace(cfg.clock, cfg.slots, &rngs)?);
-            sites.push(SiteWorld { green_trace, layout });
-        }
-        Ok(World { workload, sites })
+        WorldCache::new().get_or_materialize(cfg)
     }
 
     /// Materialise through `cache`: each component is built at most once
@@ -230,6 +216,10 @@ impl WorldCache {
     /// Materialise `cfg`'s world, reusing every component already built
     /// under the same key.
     ///
+    /// Components build in the order layouts, workload, traces, so a
+    /// missing trace file surfaces only after the cluster and workload
+    /// build.
+    ///
     /// A [`SourceKind::TraceCsv`] source bypasses the trace shard (reading
     /// a file is fallible and the file may change between runs); all
     /// synthetic sources are infallible and cache cleanly.
@@ -345,5 +335,23 @@ mod tests {
         );
         assert!(!Arc::ptr_eq(&w.workload, &w2.workload));
         assert!(Arc::ptr_eq(w.layout(), w2.layout()), "layout key excludes the master seed");
+    }
+
+    #[test]
+    fn sites_with_equal_clusters_share_one_layout() {
+        let base = ExperimentConfig::small_demo(5);
+        let mut sites = base.site_configs();
+        for (name, offset) in [("east", 8), ("south", -4)] {
+            let mut site = sites[0].clone();
+            site.name = name.into();
+            site.utc_offset_hours = offset;
+            sites.push(site);
+        }
+        let world = World::try_materialize(&base.with_sites(sites)).expect("materialises");
+        assert_eq!(world.sites.len(), 3);
+        for site in &world.sites[1..] {
+            assert!(Arc::ptr_eq(&site.layout, world.layout()), "equal clusters, one layout");
+            assert!(!Arc::ptr_eq(&site.green_trace, world.green_trace()), "offsets differ");
+        }
     }
 }

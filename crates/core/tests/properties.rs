@@ -161,65 +161,6 @@ proptest! {
         prop_assert!(run(wh + 500.0) >= run(wh), "more green never reduces green placement");
     }
 
-    /// Satellite: perturb the per-slot bins (forecast green, busy-seconds,
-    /// carbon prices) between rounds and assert the warm-started handle's
-    /// re-priced solve is indistinguishable from a cold solve of the same
-    /// input — stats AND the full per-site schedule.
-    #[test]
-    fn warm_repriced_solve_matches_cold_solve(
-        jobs in proptest::collection::vec((1u64..64, 0usize..20), 1..12),
-        rounds in proptest::collection::vec(
-            (
-                proptest::collection::vec(0.0f64..4_000.0, 8..9),
-                proptest::collection::vec(0.0f64..6_000.0, 8..9),
-                0i64..400,
-                0u8..2,
-            ),
-            1..8,
-        ),
-    ) {
-        let model = PlanningModel::from_spec(&ClusterSpec::small());
-        let mut views: Vec<JobView> = jobs
-            .iter()
-            .enumerate()
-            .map(|(i, (gib, dl))| JobView {
-                id: JobId(i as u64),
-                remaining_bytes: gib << 30,
-                deadline_slot: *dl,
-                critical: false,
-            })
-            .collect();
-        let mut warm = Matcher::new();
-        for (round, (green, busy, carbon_base, shrink)) in rounds.iter().enumerate() {
-            if *shrink == 1 && views.len() > 1 {
-                views.pop(); // group supplies drift between slots too
-            }
-            let carbon: Vec<i64> = (0..8).map(|t| carbon_base + t as i64 * 3).collect();
-            let home = [SiteView::home(green, model, BatteryView::default())];
-            let input = MatchInput {
-                jobs: &views,
-                current_slot: round,
-                horizon: 8,
-                sites: &home,
-                interactive_busy_secs: busy,
-                slot_secs: 3600.0,
-                brown_cost_per_slot: Some(&carbon),
-            };
-            let warm_stats = warm.solve(&input);
-            let mut cold = Matcher::new();
-            cold.set_warm_start(false);
-            let cold_stats = cold.solve(&input);
-            prop_assert_eq!(warm_stats, cold_stats, "round {}: stats diverge", round);
-            prop_assert_eq!(
-                warm.per_site_slot_bytes(),
-                cold.per_site_slot_bytes(),
-                "round {}: schedules diverge",
-                round
-            );
-        }
-        prop_assert_eq!(warm.solve_counts().cold, 1, "warm handle must rebuild only once");
-    }
-
     #[test]
     fn edf_fill_never_exceeds_capacity_or_remaining(
         jobs in proptest::collection::vec((0u64..1_000_000, 0usize..50), 0..30),

@@ -25,9 +25,6 @@ cargo bench -p gm-bench --bench e2e | tee /tmp/gm_bench_e2e.txt
 echo "==> cargo bench --bench sweep"
 cargo bench -p gm-bench --bench sweep | tee /tmp/gm_bench_sweep.txt
 
-echo "==> cargo bench --bench matcher_kernel"
-cargo bench -p gm-bench --bench matcher_kernel | tee /tmp/gm_bench_matcher_kernel.txt
-
 echo "==> cargo bench --bench branch"
 cargo bench -p gm-bench --bench branch | tee /tmp/gm_bench_branch.txt
 
@@ -75,9 +72,6 @@ bench_json() {
     echo '  ],'
     echo '  "sweep": ['
     bench_json /tmp/gm_bench_sweep.txt
-    echo '  ],'
-    echo '  "matcher_kernel": ['
-    bench_json /tmp/gm_bench_matcher_kernel.txt
     echo '  ],'
     echo '  "branch": ['
     bench_json /tmp/gm_bench_branch.txt

@@ -12,8 +12,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test -q"
 cargo test --workspace -q
 
-echo "==> warm-start byte-identity gate (warm vs cold traces)"
-cargo test -q --test telemetry warm_start
+echo "==> golden trace gate (committed goldens, byte for byte)"
+cargo test -q --test telemetry golden
 
 echo "==> serve-kernel equivalence gate (serve_batch vs per-request oracle)"
 cargo test -q -p gm-storage serve_kernel_equivalence

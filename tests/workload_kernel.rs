@@ -2,7 +2,7 @@
 //!
 //! The interval-indexed, shard-parallel generator is a pure performance
 //! rebuild: every observable byte must be independent of shard count,
-//! thread count, the `site_parallel` knob, and snapshot/resume boundaries.
+//! thread count and snapshot/resume boundaries.
 //! These tests pin each of those equivalences end-to-end, on randomized
 //! specs where the property is cheap and on a gated 10⁵-stream population
 //! (`--ignored`, run in release by CI) where it is not.
@@ -176,38 +176,6 @@ fn snapshot_resume_is_byte_identical_with_respread_streams() {
     };
     let resumed_text = String::from_utf8(resumed).expect("trace is utf-8");
     assert_eq!(resumed_text.trim_end().as_bytes(), &cold_tail[..], "resumed tail diverged");
-}
-
-fn two_site_cfg() -> ExperimentConfig {
-    let base = ExperimentConfig::small_demo(7)
-        .with_slots(48)
-        .with_policy(PolicyKind::GreenMatch { delay_fraction: 1.0 });
-    let mut sites = base.site_configs();
-    let mut east = sites[0].clone();
-    east.name = "east".into();
-    east.utc_offset_hours = 8;
-    sites.push(east);
-    base.with_sites(sites).with_wan_cost(200)
-}
-
-#[test]
-fn site_parallel_traces_match_sequential_multi_site() {
-    // `site_parallel` is a pure scheduling knob: the pool fan-out of
-    // Forecast and Execute must reproduce the sequential per-site walk
-    // byte for byte.
-    let par = two_site_cfg();
-    let seq = par.clone().with_site_parallel(false);
-    let a = trace_bytes(&par);
-    let b = trace_bytes(&seq);
-    assert!(!a.is_empty(), "trace should contain records");
-    assert_eq!(a, b, "site-parallel multi-site run diverged from sequential");
-}
-
-#[test]
-fn site_parallel_toggle_is_inert_single_site() {
-    let on = ExperimentConfig::small_demo(7).with_slots(24);
-    let off = on.clone().with_site_parallel(false);
-    assert_eq!(trace_bytes(&on), trace_bytes(&off));
 }
 
 /// Gated scale proof (CI runs `--ignored` in release): a 10⁵-stream
