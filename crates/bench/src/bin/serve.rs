@@ -1,17 +1,17 @@
 //! gm-serve — long-lived service mode: stream admission control with
 //! per-slot decision latency.
 //!
-//! Where `run_once` replays a pre-materialised workload through the batch
-//! arrival cursor, `serve` drives the simulation the way a real control
-//! plane would: a producer thread pushes each slot's arrivals into an
-//! [`gm_workload::EventFeed`], and the simulation's classify phase blocks
-//! on the feed — a slow producer delays the clock instead of dropping
+//! Where `run_once` replays a pre-materialised workload through a
+//! pre-loaded [`gm_workload::EventFeed`], `serve` drives the simulation the
+//! way a real control plane would: a producer thread pushes each slot's
+//! arrivals into an external feed, and the simulation's classify phase
+//! blocks on it — a slow producer delays the clock instead of dropping
 //! work. Every job faces the α-confidence admission gate before it can
 //! reach the matcher.
 //!
 //! ```text
 //! gm-serve --preset mega                       # 1M+ requests per slot
-//! gm-serve --preset small --slots 48 --verify  # pin feed == batch replay
+//! gm-serve --preset small --slots 48 --verify  # pin external feed == replay
 //! gm-serve --preset mega --alpha 0.99 --forecast ewma --out serve.json
 //! ```
 //!
@@ -23,9 +23,9 @@
 //! simulated slot carries over a million requests — the scale claim the
 //! report's `requests_per_slot` field substantiates.
 //!
-//! `--verify` replays the identical scenario through the batch cursor and
-//! asserts the two reports are byte-identical JSON — the service seam
-//! provably changes nothing but the arrival transport. `--audit` runs the
+//! `--verify` runs the identical scenario over the self-driving replay feed
+//! and asserts the two reports are byte-identical JSON — the producer
+//! thread provably changes nothing but who delivers the arrivals. `--audit` runs the
 //! conservation auditor alongside.
 
 use gm_sim::LogHistogram;
@@ -246,15 +246,16 @@ fn main() {
     }
 
     if verify {
-        // The service seam's core contract: a fed run equals the batch
-        // replay of the same scenario byte for byte.
-        let batch = greenmatch::harness::run_experiment(&cfg);
+        // The service seam's core contract: a run over the producer's feed
+        // equals the self-driving replay of the same scenario byte for
+        // byte.
+        let replay = greenmatch::harness::run_experiment(&cfg);
         let a = serde_json::to_string(&report).expect("report serialises");
-        let b = serde_json::to_string(&batch).expect("report serialises");
+        let b = serde_json::to_string(&replay).expect("report serialises");
         if a == b {
-            eprintln!("verify         : feed == batch (byte-identical reports)");
+            eprintln!("verify         : external feed == replay (byte-identical reports)");
         } else {
-            eprintln!("verify         : FAILED — feed run diverged from batch replay");
+            eprintln!("verify         : FAILED — external feed run diverged from the replay");
             std::process::exit(1);
         }
     }

@@ -42,7 +42,6 @@ pub fn medium_cfg(ctx: &ExpContext, policy: PolicyKind) -> ExperimentConfig {
         wan_cost_per_unit: 0,
         tiering: None,
         admission: None,
-        feed_arrivals: false,
     }
 }
 

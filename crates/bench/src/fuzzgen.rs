@@ -156,14 +156,6 @@ pub fn fuzz_config(rng: &mut TestRng) -> ExperimentConfig {
         let defer_slots = range_u64(rng, 0, 6) as usize;
         cfg = cfg.with_admission(AdmissionConfig { alpha, defer_slots });
     }
-
-    // Arrival transport: roughly one case in four replays the workload
-    // through the in-process event feed instead of the batch cursor — the
-    // byte-identity contract means everything downstream must be unable
-    // to tell the difference, which the auditor now checks at fuzz scale.
-    if rng.next_u64().is_multiple_of(4) {
-        cfg = cfg.with_feed_arrivals(true);
-    }
     cfg
 }
 
@@ -182,7 +174,7 @@ pub fn describe(cfg: &ExperimentConfig) -> String {
         Some(a) => format!("α{}/d{}", a.alpha, a.defer_slots),
     };
     format!(
-        "seed={} slots={} sites={} policy={} battery={} discharge={:?} forecast={:?} wan={} failures={} streams={} tiering={} admission={} feed={}",
+        "seed={} slots={} sites={} policy={} battery={} discharge={:?} forecast={:?} wan={} failures={} streams={} tiering={} admission={}",
         cfg.seed,
         cfg.slots,
         cfg.n_sites(),
@@ -195,7 +187,6 @@ pub fn describe(cfg: &ExperimentConfig) -> String {
         cfg.workload.interactive.streams,
         tiering,
         admission,
-        cfg.feed_arrivals,
     )
 }
 
@@ -317,7 +308,6 @@ mod tests {
         let mut tiered = 0;
         let mut big_stripe = 0;
         let mut gated = 0;
-        let mut fed = 0;
         for case in 0..64 {
             let mut rng = TestRng::for_case("fuzzgen-cover", case);
             let cfg = fuzz_config(&mut rng);
@@ -329,7 +319,6 @@ mod tests {
             tiered += cfg.tiering.is_some() as u32;
             big_stripe += cfg.tiering.is_some_and(|t| t.ec_k == 6) as u32;
             gated += cfg.admission.is_some() as u32;
-            fed += cfg.feed_arrivals as u32;
         }
         assert!(multi > 10, "multi-site configs must be common ({multi}/64)");
         assert!(with_battery > 20, "battery configs must be common ({with_battery}/64)");
@@ -338,7 +327,6 @@ mod tests {
         assert!(tiered > 5, "tiered configs must appear ({tiered}/64)");
         assert!(big_stripe > 0, "both EC geometries must appear ({big_stripe}/64)");
         assert!(gated > 5, "admission-gated configs must appear ({gated}/64)");
-        assert!(fed > 5, "feed-driven configs must appear ({fed}/64)");
     }
 
     #[test]

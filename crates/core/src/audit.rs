@@ -17,8 +17,9 @@
 //! * [`Simulation::post_run_audit`] — a deep end-of-run audit over state
 //!   the per-slot outcomes cannot see: battery conservation residuals,
 //!   ledger series identities per site and slot, exact job-byte
-//!   conservation, arrival/completion/pending accounting, repair-table
-//!   hygiene, and gear-series shape. Call it **before**
+//!   conservation, arrival/completion/pending accounting, feed accounting
+//!   against the workload population, repair-table hygiene, and
+//!   gear-series shape. Call it **before**
 //!   [`Simulation::into_report`] (which consumes the simulation).
 //!
 //! Auditing is off by default — a simulation without the observer and
@@ -600,6 +601,34 @@ impl Simulation<'_> {
             });
         }
 
+        // Feed accounting: every population job submitted before the end of
+        // the last simulated slot arrived exactly once — it entered the
+        // pool, the gate rejected it, or the gate still holds it. A dropped
+        // or repeated delivery breaks the count, and so does a resumed run
+        // that re-delivers (or skips) its prefix's jobs.
+        if simulated > 0 {
+            let until = self.clock.slot_end(simulated - 1);
+            let offered = self.workload.batch_jobs().partition_point(|j| j.submit < until);
+            let arrived = self.batch_report.jobs_submitted
+                + self.admission_rejected as usize
+                + self.admission_held.len();
+            if offered != arrived {
+                report.push(AuditViolation {
+                    slot: None,
+                    site: None,
+                    invariant: "feed_accounting",
+                    residual: arrived as f64 - offered as f64,
+                    detail: format!(
+                        "{offered} population jobs submitted before slot {simulated} vs {} \
+                         submitted + {} rejected + {} held",
+                        self.batch_report.jobs_submitted,
+                        self.admission_rejected,
+                        self.admission_held.len()
+                    ),
+                });
+            }
+        }
+
         // Index hygiene: the active list and the id index cover exactly the
         // pending jobs.
         let pending = self.active_jobs.len();
@@ -786,6 +815,7 @@ mod tests {
     use super::*;
     use crate::config::ExperimentConfig;
     use crate::policy::PolicyKind;
+    use gm_workload::{BatchJob, EventFeed};
 
     fn audit(cfg: &ExperimentConfig) -> AuditReport {
         let (_, report) =
@@ -896,6 +926,49 @@ mod tests {
         assert_eq!(report.suppressed, 500);
         assert_eq!(report.total_violations(), 1_500);
         assert!(!report.is_clean());
+    }
+
+    /// Audit `cfg` driven by an external feed that sends each slot's
+    /// population arrivals after `doctor` has edited them.
+    fn audit_fed(
+        cfg: &ExperimentConfig,
+        doctor: impl Fn(usize, &mut Vec<BatchJob>),
+    ) -> AuditReport {
+        let workload = crate::world::World::try_materialize(cfg).expect("world").workload;
+        let (mut tx, feed) = EventFeed::new();
+        for slot in 0..cfg.slots {
+            let mut jobs = workload.batch_arrivals_in_slot(cfg.clock, slot);
+            doctor(slot, &mut jobs);
+            tx.send_slot(slot, jobs);
+        }
+        drop(tx);
+        let sim = Simulation::builder(cfg).feed(feed).build().expect("config materialises");
+        sim.run_audited().1
+    }
+
+    #[test]
+    fn feed_accounting_flags_dropped_and_repeated_arrivals() {
+        let cfg = ExperimentConfig::small_demo(11).with_slots(48);
+        assert!(audit(&cfg).is_clean(), "replay feed");
+        assert!(audit_fed(&cfg, |_, _| {}).is_clean(), "faithful external feed");
+
+        let names = |report: &AuditReport| -> Vec<&'static str> {
+            report.violations.iter().map(|v| v.invariant).collect()
+        };
+        let dropped = audit_fed(&cfg, |slot, jobs| {
+            if slot == 10 {
+                jobs.remove(0);
+            }
+        });
+        assert_eq!(names(&dropped), ["feed_accounting"], "{}", render_all(&dropped));
+        assert_eq!(dropped.violations[0].residual, -1.0);
+
+        let repeated = audit_fed(&cfg, |slot, jobs| {
+            if slot == 10 {
+                jobs.push(jobs[0].clone());
+            }
+        });
+        assert!(names(&repeated).contains(&"feed_accounting"), "{}", render_all(&repeated));
     }
 
     fn render_all(report: &AuditReport) -> String {

@@ -422,18 +422,6 @@ pub struct ExperimentConfig {
     /// JSON) accepts every arrival and leaves every trace byte-identical.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub admission: Option<AdmissionConfig>,
-    /// Pull batch arrivals from an incremental event feed instead of the
-    /// materialised population cursor. With no external feed attached the
-    /// builder self-attaches a replay feed over the workload, which is
-    /// byte-identical to the cursor walk — this knob exists for service
-    /// mode (`gm-serve`) and for fuzzing the equivalence, not for accuracy
-    /// trade-offs. Defaults to `false`; omitted from archived JSON.
-    #[serde(default, skip_serializing_if = "is_false")]
-    pub feed_arrivals: bool,
-}
-
-fn is_false(on: &bool) -> bool {
-    !*on
 }
 
 impl ExperimentConfig {
@@ -461,7 +449,6 @@ impl ExperimentConfig {
             wan_cost_per_unit: 0,
             tiering: None,
             admission: None,
-            feed_arrivals: false,
         }
     }
 
@@ -490,7 +477,6 @@ impl ExperimentConfig {
             wan_cost_per_unit: 0,
             tiering: None,
             admission: None,
-            feed_arrivals: false,
         }
     }
 
@@ -601,14 +587,6 @@ impl ExperimentConfig {
     #[must_use]
     pub fn with_admission(mut self, admission: impl Into<Option<AdmissionConfig>>) -> Self {
         self.admission = admission.into();
-        self
-    }
-
-    /// Pull batch arrivals through an event feed instead of the population
-    /// cursor (see [`Self::feed_arrivals`]).
-    #[must_use]
-    pub fn with_feed_arrivals(mut self, on: bool) -> Self {
-        self.feed_arrivals = on;
         self
     }
 
@@ -775,23 +753,45 @@ mod tests {
 
     #[test]
     fn retired_knobs_in_archived_json_are_ignored() {
-        // Configs and snapshots archived while `matcher_warm_start` and
-        // `site_parallel` existed still load; the fields select nothing.
-        const RETIRED: &str = r#""matcher_warm_start":false,"site_parallel":false,"#;
-        let cfg = ExperimentConfig::small_demo(3);
+        // Configs and snapshots archived while `matcher_warm_start`,
+        // `site_parallel`, `feed_arrivals` and the snapshot's
+        // `arrivals_cursor` existed still load; the fields select nothing.
+        const RETIRED: &str =
+            r#""matcher_warm_start":false,"site_parallel":false,"feed_arrivals":true,"#;
+        let cfg = ExperimentConfig::small_demo(3).with_slots(24);
         let json = serde_json::to_string(&cfg).expect("serialises");
-        assert!(!json.contains("matcher_warm_start") && !json.contains("site_parallel"));
+        for field in ["matcher_warm_start", "site_parallel", "feed_arrivals"] {
+            assert!(!json.contains(field), "{field} is no longer written");
+        }
         let archived = json.replacen('{', &format!("{{{RETIRED}"), 1);
         let back: ExperimentConfig = serde_json::from_str(&archived).expect("parses");
         assert_eq!(serde_json::to_string(&back).expect("serialises"), json);
 
-        let mut sim = crate::Simulation::builder(&cfg.with_slots(4)).build().expect("builds");
-        sim.step();
+        let mut sim = crate::Simulation::builder(&cfg).build().expect("builds");
+        for _ in 0..9 {
+            sim.step();
+        }
         let snap = sim.snapshot().to_json();
+        drop(sim);
+        assert!(!snap.contains("arrivals_cursor"), "the cursor is no longer written");
         let archived = snap.replacen(r#""cfg":{"#, &format!(r#""cfg":{{{RETIRED}"#), 1);
+        let archived = archived.replacen('{', r#"{"arrivals_cursor":57,"#, 1);
         assert_ne!(archived, snap, "the snapshot embeds its config");
         let back = crate::Snapshot::from_json(&archived).expect("parses");
         assert_eq!(back.to_json(), snap);
+
+        // A stale cursor value changes nothing: the resume replays the
+        // workload from the snapshot's slot, like the cold run.
+        let resumed = crate::Simulation::builder(&cfg)
+            .resume_from(&back)
+            .build()
+            .expect("restores")
+            .run_to_end();
+        let cold = crate::harness::run_experiment(&cfg);
+        assert_eq!(
+            serde_json::to_string(&resumed).expect("serialises"),
+            serde_json::to_string(&cold).expect("serialises")
+        );
     }
 
     #[test]
@@ -813,19 +813,15 @@ mod tests {
     fn admission_knob_defaults_off_and_roundtrips() {
         let cfg = ExperimentConfig::small_demo(3);
         assert!(cfg.admission.is_none());
-        assert!(!cfg.feed_arrivals);
         let json = serde_json::to_string(&cfg).expect("serialises");
         assert!(!json.contains("admission"), "default stays out of archived JSON");
-        assert!(!json.contains("feed_arrivals"), "default stays out of archived JSON");
         let back: ExperimentConfig = serde_json::from_str(&json).expect("parses");
         assert!(back.admission.is_none(), "omitted field deserialises to off");
-        assert!(!back.feed_arrivals);
-        let gated = cfg.with_admission(AdmissionConfig::default()).with_feed_arrivals(true);
+        let gated = cfg.with_admission(AdmissionConfig::default());
         let json = serde_json::to_string(&gated).expect("serialises");
         let back: ExperimentConfig = serde_json::from_str(&json).expect("parses");
         assert_eq!(back.admission, gated.admission);
         assert!((back.admission.unwrap().alpha - 0.9).abs() < 1e-12);
-        assert!(back.feed_arrivals);
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! Phase 2 — Classify: who failed, who arrived, what is pending.
 //!
 //! Draws the slot's disk-failure dice (spawning repair jobs for lost
-//! redundancy), admits the batch jobs submitted during the slot (via a
-//! cursor over the submission-ordered population — no per-slot scan), and
-//! assembles the policy-visible [`crate::policy::JobView`]s for every
-//! pending job into the scratch.
+//! redundancy), admits the batch jobs submitted during the slot (drained
+//! from the simulation's event feed), and assembles the policy-visible
+//! [`crate::policy::JobView`]s for every pending job into the scratch.
 
 use super::{SlotContext, SlotScratch};
 use crate::policy::{JobView, TOTAL_RHO};
@@ -61,32 +60,16 @@ pub(crate) fn run(
     }
     let disk_failures = cluster.total_failures() - failures_before;
 
-    // Batch arrivals land in the scratch staging buffer first — from the
-    // event feed in service mode, else via a cursor over the
-    // submission-ordered population (no per-slot scan). Both sources
-    // deliver the same jobs in the same order, which is what makes a
-    // feed-driven run byte-identical to its batch replay.
+    // Batch arrivals land in the scratch staging buffer first, drained
+    // from the event feed — the run's only arrival source.
     let mut jobs_submitted = 0usize;
-    let slot_end = ctx.slot_end;
-    if let Some(feed) = sim.feed.as_mut() {
-        feed.take_arrivals_before(s, slot_end, &mut scratch.feed_jobs);
-    } else {
-        scratch.feed_jobs.clear();
-        let population = sim.workload.batch_jobs();
-        while sim.arrivals_cursor < population.len() {
-            let job = &population[sim.arrivals_cursor];
-            if job.submit >= slot_end {
-                break;
-            }
-            sim.arrivals_cursor += 1;
-            scratch.feed_jobs.push(job.clone());
-        }
-    }
+    sim.feed.take_arrivals_before(s, ctx.slot_end, &mut scratch.feed_jobs);
     let gated = sim.cfg.admission.is_some();
     for job in scratch.feed_jobs.drain(..) {
         if job.submit < ctx.now {
-            // Parity with the historic in-slot filter (`submit >= start`);
-            // unreachable for a submission-sorted population.
+            // Parity with the historic in-slot filter (`submit >= start`):
+            // drops a late external delivery; never taken for the replay
+            // feed, which starts at the run's first slot.
             continue;
         }
         if gated {

@@ -120,7 +120,7 @@ pub struct SlotScratch {
     pub band_lower: Vec<f64>,
     /// See [`SlotScratch::band_point`].
     pub band_upper: Vec<f64>,
-    /// This slot's batch arrivals when pulled from an event feed. Written
+    /// This slot's batch arrivals, drained from the event feed. Written
     /// by [`classify`]; drained into the admission queue or the job pool.
     pub feed_jobs: Vec<gm_workload::BatchJob>,
 }

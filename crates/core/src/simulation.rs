@@ -308,14 +308,13 @@ impl<'c, 's> SimulationBuilder<'c, 's> {
     }
 
     /// Drive batch arrivals from an external [`EventFeed`] instead of the
-    /// workload's population cursor (service mode). The feed's driver owns
-    /// the pace: classify blocks until each slot's batch has been
-    /// delivered, so a slow producer delays the simulated clock rather
-    /// than dropping work. A feed replayed from the config's own workload
-    /// produces a byte-identical run to the batch cursor; see
-    /// [`gm_workload::EventFeed::replay`]. Implies what
-    /// [`crate::config::ExperimentConfig::with_feed_arrivals`] would have
-    /// set up, but with the caller's feed instead of a self-replay.
+    /// self-driving replay of the config's own workload. The feed's
+    /// driver owns the pace: classify blocks until each slot's batch has
+    /// been delivered, so a slow producer delays the simulated clock
+    /// rather than dropping work. A driver that sends each slot's
+    /// [`gm_workload::Workload::batch_arrivals_in_slot`] produces a run
+    /// byte-identical to the replay. Resuming across an external feed is
+    /// the driver's contract: it must not re-send the prefix's jobs.
     pub fn feed(mut self, feed: EventFeed) -> Self {
         self.feed = Some(feed);
         self
@@ -363,19 +362,16 @@ impl<'c, 's> SimulationBuilder<'c, 's> {
             None => Scratch::Owned(Box::new(SlotScratch::new())),
         };
         let mut sim = Simulation::assemble(self.cfg, world, scratch);
-        sim.feed = match self.feed {
-            Some(feed) => Some(feed),
-            // Self-driving service mode: replay the materialised workload
-            // through a pre-loaded feed. Exercises the exact feed path
-            // (and is pinned byte-identical to the cursor walk).
-            None if self.cfg.feed_arrivals => {
-                Some(EventFeed::replay(&sim.workload, sim.clock, sim.slots))
-            }
-            None => None,
-        };
         if let Some(snap) = self.resume {
             sim.restore_overlay(snap)?;
         }
+        // Without an external driver the run replays its own workload from
+        // the (possibly resumed) cursor, so a resumed run never sees its
+        // prefix's jobs again.
+        sim.feed = match self.feed {
+            Some(feed) => feed,
+            None => EventFeed::replay(&sim.workload, sim.clock.slot_start(sim.cursor)),
+        };
         let resumed_at = sim.cursor;
         for obs in self.observers {
             sim.add_observer(obs);
@@ -418,9 +414,6 @@ pub struct Simulation<'s> {
     /// (indices only ever grow, and settle's retain preserves order), so
     /// scanning it is equivalent to filtering `jobs` by pending state.
     pub(crate) active_jobs: Vec<usize>,
-    /// Cursor into the submission-ordered batch population: jobs before it
-    /// have been admitted.
-    pub(crate) arrivals_cursor: usize,
     /// Advancing live-set cursor over the interactive stream population —
     /// the O(live + newly started) source of each slot's stream set.
     /// Derived state, never snapshotted: [`LiveCursor::advance_to`] is
@@ -467,9 +460,9 @@ pub struct Simulation<'s> {
     pub(crate) admission_deferred: u64,
     pub(crate) admission_rejected: u64,
     pub(crate) admission_rejected_bytes: u64,
-    /// Arrival source in service mode: an event feed replaces the
-    /// population cursor (which then stays at 0). `None` for batch runs.
-    pub(crate) feed: Option<EventFeed>,
+    /// The run's only arrival source: an external driver's feed, or the
+    /// replay of the workload from the start (or resume) slot.
+    pub(crate) feed: EventFeed,
 
     pub(crate) cursor: usize,
     pub(crate) observers: Vec<Box<dyn SlotObserver + Send>>,
@@ -566,7 +559,6 @@ impl<'s> Simulation<'s> {
             jobs: Vec::new(),
             job_index: HashMap::new(),
             active_jobs: Vec::new(),
-            arrivals_cursor: 0,
             live_cursor: LiveCursor::new(),
             batch_report: BatchReport::default(),
             positioning_s,
@@ -588,18 +580,14 @@ impl<'s> Simulation<'s> {
             admission_deferred: 0,
             admission_rejected: 0,
             admission_rejected_bytes: 0,
-            feed: None,
+            // Placeholder (closed and empty); `build` installs the run's
+            // feed once any restore has fixed the start slot.
+            feed: EventFeed::new().1,
             cursor: 0,
             observers: Vec::new(),
             time_phases: false,
             scratch,
         }
-    }
-
-    /// Attach an observer (builder style).
-    pub fn with_observer(mut self, observer: Box<dyn SlotObserver + Send>) -> Self {
-        self.add_observer(observer);
-        self
     }
 
     /// Attach an observer.
@@ -636,11 +624,12 @@ impl<'s> Simulation<'s> {
     /// Capture the full mid-run state as a serializable [`Snapshot`].
     ///
     /// Call at a slot boundary (between [`Self::step`] calls). The
-    /// snapshot holds everything accumulated since slot 0; the world and
-    /// the policy/matcher are *not* captured — the world is referenced by
-    /// its cache keys and re-materialised on resume, and the policy is
-    /// rebuilt cold from config (byte-exact: the matcher's warm-start
-    /// network provably reproduces cold solves). Restore with
+    /// snapshot holds everything accumulated since slot 0; the world, the
+    /// policy/matcher and the event feed are *not* captured — the world is
+    /// referenced by its cache keys and re-materialised on resume, the
+    /// policy is rebuilt from config (byte-exact: the matcher rebuilds its
+    /// network every slot and carries no solution between slots), and the
+    /// feed replays the workload from the resume slot. Restore with
     /// [`SimulationBuilder::resume_from`].
     pub fn snapshot(&self) -> Snapshot {
         let mut repair_jobs: Vec<(u64, usize)> =
@@ -670,7 +659,6 @@ impl<'s> Simulation<'s> {
                 .collect(),
             jobs: self.jobs.clone(),
             active_jobs: self.active_jobs.clone(),
-            arrivals_cursor: self.arrivals_cursor,
             batch_report: self.batch_report.clone(),
             hist: self.hist.clone(),
             repair_jobs,
@@ -755,20 +743,12 @@ impl<'s> Simulation<'s> {
             site.prev_spinups = ss.prev_spinups.clone();
             site.executed_batch_bytes = ss.executed_batch_bytes;
         }
-        if snap.arrivals_cursor > self.workload.batch_jobs().len() {
-            return Err(invalid(format!(
-                "snapshot admitted {} batch jobs, workload only has {}",
-                snap.arrivals_cursor,
-                self.workload.batch_jobs().len()
-            )));
-        }
         if snap.active_jobs.iter().any(|&idx| idx >= snap.jobs.len()) {
             return Err(invalid("snapshot pending-job index out of range".to_string()));
         }
         self.jobs = snap.jobs.clone();
         self.active_jobs = snap.active_jobs.clone();
         self.job_index = snap.active_jobs.iter().map(|&idx| (snap.jobs[idx].id, idx)).collect();
-        self.arrivals_cursor = snap.arrivals_cursor;
         // Belt and braces: the live cursor seeks correctly from any prior
         // state, but a resumed run should start from the canonical one.
         self.live_cursor = LiveCursor::new();
@@ -789,19 +769,6 @@ impl<'s> Simulation<'s> {
         self.admission_deferred = snap.admission_deferred;
         self.admission_rejected = snap.admission_rejected;
         self.admission_rejected_bytes = snap.admission_rejected_bytes;
-        // Service mode: a feed restarts from slot 0 on every build, but
-        // everything submitted before the resume cursor is already in the
-        // snapshot — discard it. Only the self-driving replay feed is
-        // fast-forwarded here (it is fully pre-loaded, so this never
-        // blocks); resuming across an *external* feed is the driver's
-        // contract to honour.
-        if snap.cursor > 0 && self.cfg.feed_arrivals {
-            if let Some(feed) = self.feed.as_mut() {
-                let last = snap.cursor - 1;
-                let mut consumed = Vec::new();
-                feed.take_arrivals_before(last, self.clock.slot_end(last), &mut consumed);
-            }
-        }
         self.cursor = snap.cursor;
         Ok(())
     }
@@ -1245,9 +1212,11 @@ mod tests {
         let cfg = quick_cfg();
         let bare = crate::harness::run_experiment(&cfg);
         let (timer, profile) = PhaseTimer::new();
-        let observed = sim(&cfg)
-            .with_observer(Box::new(NullObserver))
-            .with_observer(Box::new(timer))
+        let observed = Simulation::builder(&cfg)
+            .observer(Box::new(NullObserver))
+            .observer(Box::new(timer))
+            .build()
+            .expect("config materialises")
             .run_to_end();
         assert_eq!(
             serde_json::to_string(&bare).unwrap(),

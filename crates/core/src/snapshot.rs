@@ -7,14 +7,15 @@
 //! * **Serialized**: per-site cluster state (disks, queues, write log,
 //!   cache arena, failure tables), battery state, energy ledger, learned
 //!   forecaster state (EWMA table / noise-RNG words), gear history, the
-//!   job pool and its pending order, arrival cursor, batch accounting,
-//!   the latency histogram, repair tables, and the slot cursor.
+//!   job pool and its pending order, batch accounting, the latency
+//!   histogram, repair tables, and the slot cursor.
 //! * **Rebuilt on restore**: the world (workload, traces, layouts — the
 //!   snapshot stores their cache *keys*, never the components), the
-//!   policy and its matcher network (rebuilt cold; the PR 6 warm==cold
-//!   equivalence makes this byte-exact), the failure dice (pure function
-//!   of the seed), planning constants, and acceleration memos (busy-time
-//!   memo, disk→object reverse index, histogram bucket memo).
+//!   policy and its matcher network (the matcher rebuilds its network
+//!   every slot, so nothing it held is lost), the arrival feed (a replay
+//!   of the workload from the slot cursor on), the failure dice (pure
+//!   function of the seed), planning constants, and acceleration memos
+//!   (busy-time memo, disk→object reverse index, histogram bucket memo).
 //!
 //! Restoring goes through the normal assembly path — build a fresh
 //! simulation from the *resume* config, then overlay this state — so a
@@ -112,8 +113,6 @@ pub struct Snapshot {
     pub jobs: Vec<BatchJob>,
     /// Indices into `jobs` of still-pending jobs, in submission order.
     pub active_jobs: Vec<usize>,
-    /// Admission cursor into the workload's batch population.
-    pub arrivals_cursor: usize,
     /// Batch completion accounting so far.
     pub batch_report: BatchReport,
     /// Interactive latency distribution so far.

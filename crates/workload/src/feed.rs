@@ -1,24 +1,22 @@
-//! Incremental arrival delivery for long-lived (service-mode) runs.
+//! Incremental arrival delivery: the one way batch jobs enter a run.
 //!
-//! A batch run owns the whole submission-ordered job population up front
-//! and walks it with a cursor. A *service* does not: arrivals materialise
-//! over time, pushed by an external driver. [`EventFeed`] is the seam
-//! between the two — an in-process channel of slot-stamped arrival
-//! batches that the simulation's classify phase drains instead of the
-//! population cursor.
-//!
-//! The contract that keeps service mode honest: a feed driven from the
-//! same workload delivers exactly the jobs `batch_arrivals_in_slot` would
-//! enumerate, in the same order, so a feed-driven run is **byte-identical**
-//! to the batch replay of the same scenario (the `feed` integration tests
-//! pin this end to end). Slot batches are complete-or-absent — the sender
-//! stamps each batch with its slot, and [`EventFeed::take_arrivals_before`]
-//! blocks until the requested slot has been delivered (or the sender hung
-//! up), so a slow driver delays the clock instead of dropping work.
+//! Arrivals materialise over time, pushed by a driver. [`EventFeed`] is an
+//! in-process channel of slot-stamped arrival batches that the
+//! simulation's classify phase drains. A run without an external driver
+//! uses [`EventFeed::replay`], a closed feed pre-loaded with the
+//! submission-ordered population from the run's start; an external driver
+//! (gm-serve, the benchmark's producer thread) that sends each slot's
+//! `batch_arrivals_in_slot` delivers the same jobs in the same order, so
+//! its run is byte-identical to the replay (the `admission` integration
+//! tests pin this end to end). Slot batches are complete-or-absent — the
+//! sender stamps each batch with its slot, and
+//! [`EventFeed::take_arrivals_before`] blocks until the requested slot has
+//! been delivered (or the sender hung up), so a slow driver delays the
+//! clock instead of dropping work.
 
 use crate::job::BatchJob;
 use crate::trace::Workload;
-use gm_sim::SlotClock;
+use gm_sim::time::SimTime;
 use std::collections::VecDeque;
 use std::sync::mpsc::{channel, Receiver, Sender};
 
@@ -75,17 +73,19 @@ impl EventFeed {
         )
     }
 
-    /// A feed pre-loaded with the whole workload's arrivals, one batch per
-    /// slot — the self-driving form a batch config uses when asked to run
-    /// in feed mode. Delivery order per slot is
-    /// [`Workload::batch_arrivals_in_slot`]'s population order, so feed
-    /// replay is byte-identical to the cursor walk.
-    pub fn replay(workload: &Workload, clock: SlotClock, slots: usize) -> EventFeed {
-        let (mut tx, feed) = EventFeed::new();
-        for slot in 0..slots {
-            tx.send_slot(slot, workload.batch_arrivals_in_slot(clock, slot));
+    /// A closed feed pre-loaded with every population job submitted at or
+    /// after `from`, in submission order — the feed of a run without an
+    /// external driver. A run resumed at slot `k` replays from
+    /// `clock.slot_start(k)`, so it never sees its prefix's jobs again.
+    pub fn replay(workload: &Workload, from: SimTime) -> EventFeed {
+        let jobs = workload.batch_jobs();
+        let start = jobs.partition_point(|j| j.submit < from);
+        EventFeed {
+            rx: channel().1,
+            buffer: jobs[start..].iter().cloned().collect(),
+            delivered_through: None,
+            closed: true,
         }
-        feed
     }
 
     /// Drain every buffered job submitted strictly before `slot_end` into
@@ -95,7 +95,7 @@ impl EventFeed {
     pub fn take_arrivals_before(
         &mut self,
         slot: usize,
-        slot_end: gm_sim::time::SimTime,
+        slot_end: SimTime,
         out: &mut Vec<BatchJob>,
     ) {
         out.clear();
@@ -127,7 +127,7 @@ impl EventFeed {
 mod tests {
     use super::*;
     use crate::trace::WorkloadSpec;
-    use gm_sim::time::SimTime;
+    use gm_sim::SlotClock;
 
     fn small_workload() -> (Workload, SlotClock, usize) {
         let clock = SlotClock::hourly();
@@ -138,14 +138,20 @@ mod tests {
     #[test]
     fn replay_feed_delivers_exactly_the_cursor_walk() {
         let (w, clock, slots) = small_workload();
-        let mut feed = EventFeed::replay(&w, clock, slots);
-        let mut out = Vec::new();
-        let mut via_feed = Vec::new();
-        for s in 0..slots {
-            feed.take_arrivals_before(s, clock.slot_end(s), &mut out);
-            via_feed.append(&mut out);
+        // From the run's start, and from a mid-horizon resume slot: the
+        // feed yields exactly the population suffix from that slot on.
+        for from_slot in [0, 57] {
+            let mut feed = EventFeed::replay(&w, clock.slot_start(from_slot));
+            let mut out = Vec::new();
+            let mut via_feed = Vec::new();
+            for s in from_slot..slots {
+                feed.take_arrivals_before(s, clock.slot_end(s), &mut out);
+                via_feed.append(&mut out);
+            }
+            let start = w.batch_jobs().partition_point(|j| j.submit < clock.slot_start(from_slot));
+            assert!(from_slot == 0 || start > 0, "slot {from_slot} resumes past some jobs");
+            assert_eq!(via_feed, &w.batch_jobs()[start..], "replay from slot {from_slot}");
         }
-        assert_eq!(via_feed, w.batch_jobs(), "feed order and content match the population");
     }
 
     #[test]

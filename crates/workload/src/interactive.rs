@@ -432,26 +432,6 @@ impl InteractiveGenerator {
         live * diurnal
     }
 
-    /// Synthesise the requests of one slot, sorted by arrival.
-    pub fn requests_in_slot(&self, clock: SlotClock, slot: usize) -> Vec<IoRequest> {
-        let mut out = Vec::new();
-        self.requests_in_slot_into(clock, slot, &mut out);
-        out
-    }
-
-    /// [`Self::requests_in_slot`] into a caller-owned buffer (cleared
-    /// first), so the per-slot hot loop reuses one allocation for the life
-    /// of a run.
-    pub fn requests_in_slot_into(&self, clock: SlotClock, slot: usize, out: &mut Vec<IoRequest>) {
-        out.clear();
-        let a = clock.slot_start(slot).0;
-        let b = clock.slot_end(slot).0;
-        let mut scratch = Vec::new();
-        self.cols.for_each_live(a, b, |i| scratch.push(i as u32));
-        self.synthesize_streams_into(clock, slot, &scratch, out);
-        out.sort_by_key(|r| r.arrival);
-    }
-
     /// Append the requests of the given streams in `slot` to `out`
     /// (per-stream draw order; **not** sorted by arrival across streams).
     ///
@@ -533,6 +513,17 @@ mod tests {
         InteractiveGenerator::new(spec, &RngFactory::new(42))
     }
 
+    /// One slot's requests sorted by arrival: the stateless live query
+    /// plus the shard kernel over the whole live set.
+    fn requests_in_slot(g: &InteractiveGenerator, clock: SlotClock, slot: usize) -> Vec<IoRequest> {
+        let mut live = Vec::new();
+        g.live_streams_in_slot(clock, slot, &mut live);
+        let mut out = Vec::new();
+        g.synthesize_streams_into(clock, slot, &live, &mut out);
+        out.sort_by_key(|r| r.arrival);
+        out
+    }
+
     /// The naive reference: every stream, overlap test per slot.
     fn naive_live(g: &InteractiveGenerator, clock: SlotClock, slot: usize) -> Vec<u32> {
         let a = clock.slot_start(slot);
@@ -560,8 +551,8 @@ mod tests {
         let g1 = generator();
         let g2 = generator();
         let c = SlotClock::hourly();
-        let a = g1.requests_in_slot(c, 40);
-        let b = g2.requests_in_slot(c, 40);
+        let a = requests_in_slot(&g1, c, 40);
+        let b = requests_in_slot(&g2, c, 40);
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.arrival, y.arrival);
@@ -575,7 +566,7 @@ mod tests {
         let g = generator();
         let c = SlotClock::hourly();
         for slot in [10usize, 50, 100] {
-            for r in g.requests_in_slot(c, slot) {
+            for r in requests_in_slot(&g, c, slot) {
                 assert!(r.arrival >= c.slot_start(slot) && r.arrival < c.slot_end(slot));
                 assert!(r.size_bytes >= 512);
                 assert!(r.object.0 < 1_000);
@@ -590,7 +581,7 @@ mod tests {
         let mut reads = 0usize;
         let mut total = 0usize;
         for slot in 0..168 {
-            for r in g.requests_in_slot(c, slot) {
+            for r in requests_in_slot(&g, c, slot) {
                 total += 1;
                 if r.kind == IoKind::Read {
                     reads += 1;
@@ -620,7 +611,7 @@ mod tests {
         let mut actual = 0usize;
         for slot in 24..48 {
             expect += g.expected_rate_in_slot(c, slot) * 3600.0;
-            actual += g.requests_in_slot(c, slot).len();
+            actual += requests_in_slot(&g, c, slot).len();
         }
         assert!(expect > 0.0);
         let ratio = actual as f64 / expect;

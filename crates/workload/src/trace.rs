@@ -205,13 +205,6 @@ impl Workload {
         self.synthesize_live(clock, slot, &live, Self::auto_shards(live.len()))
     }
 
-    /// [`Self::requests_in_slot`] into a caller-owned buffer (cleared
-    /// first) — the allocation-free form for callers that need an
-    /// array-of-structs view.
-    pub fn requests_in_slot_into(&self, clock: SlotClock, slot: usize, out: &mut Vec<IoRequest>) {
-        self.interactive.requests_in_slot_into(clock, slot, out);
-    }
-
     /// The slot's requests as a memoised columnar [`RequestBatch`] — the
     /// form the simulation hot loop uses.
     ///

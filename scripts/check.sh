@@ -33,6 +33,9 @@ cargo bench -p gm-bench --bench mega -- --test
 echo "==> cargo bench --bench sweep -- --test (smoke)"
 cargo bench -p gm-bench --bench sweep -- --test
 
+echo "==> cargo bench --bench branch -- --test (smoke)"
+cargo bench -p gm-bench --bench branch -- --test
+
 echo "==> audited e2e smoke (run_once --audit)"
 cargo run --release -q -p gm-bench --bin run_once -- \
   --preset small --audit --audit-out target/audit-report.json
@@ -53,7 +56,7 @@ cargo run --release -q -p gm-bench --bin validate -- --quick --check tiering
 echo "==> admission shape check (admission-tightens-violations)"
 cargo run --release -q -p gm-bench --bin validate -- --quick --check admission
 
-echo "==> gm-serve smoke (feed == batch replay, gated)"
+echo "==> gm-serve smoke (external feed == replay, gated)"
 cargo run --release -q -p gm-bench --bin serve -- \
   --preset small --slots 48 --verify --audit >/dev/null
 

@@ -1,8 +1,9 @@
 //! Admission control and service-mode (event feed) end-to-end pins.
 //!
 //! Three contracts live here:
-//! * feed == batch — a feed-driven run is byte-identical to the batch
-//!   cursor walk of the same scenario, whole-report JSON compared;
+//! * external feed == replay — a run driven by an external feed that sends
+//!   each slot's arrivals is byte-identical to the self-driving replay of
+//!   the same scenario, whole-report JSON compared;
 //! * α-monotonicity — tightening the gate's confidence level never turns
 //!   away less work (the lower band shrinks pointwise in α);
 //! * snapshot/resume — a gated run checkpointed mid-week resumes
@@ -26,30 +27,11 @@ fn gated_cfg(seed: u64, alpha: f64) -> ExperimentConfig {
 }
 
 #[test]
-fn feed_replay_is_byte_identical_to_batch() {
-    let batch = run_experiment(&base_cfg(42));
-    let fed = run_experiment(&base_cfg(42).with_feed_arrivals(true));
-    assert_eq!(
-        serde_json::to_string(&batch).unwrap(),
-        serde_json::to_string(&fed).unwrap(),
-        "feed-driven run must replay the batch run byte for byte"
-    );
-}
-
-#[test]
-fn feed_replay_is_byte_identical_under_admission_too() {
-    let cfg = gated_cfg(7, 0.9);
-    let batch = run_experiment(&cfg);
-    let fed = run_experiment(&cfg.clone().with_feed_arrivals(true));
-    assert_eq!(serde_json::to_string(&batch).unwrap(), serde_json::to_string(&fed).unwrap(),);
-}
-
-#[test]
 fn external_feed_drives_the_run_identically() {
     // Hand-drive a feed from the workload instead of using the built-in
     // replay: the builder path external drivers (gm-serve) use.
     let cfg = base_cfg(11);
-    let batch = run_experiment(&cfg);
+    let replay = run_experiment(&cfg);
 
     let (mut tx, feed) = gm_workload::EventFeed::new();
     let sim = Simulation::builder(&cfg).feed(feed).build().expect("config materialises");
@@ -60,7 +42,7 @@ fn external_feed_drives_the_run_identically() {
     }
     drop(tx);
     let fed = sim.run_to_end();
-    assert_eq!(serde_json::to_string(&batch).unwrap(), serde_json::to_string(&fed).unwrap(),);
+    assert_eq!(serde_json::to_string(&replay).unwrap(), serde_json::to_string(&fed).unwrap(),);
 }
 
 #[test]
@@ -130,24 +112,6 @@ fn gated_snapshot_resumes_byte_identically() {
         serde_json::to_string(&cold).unwrap(),
         "gated resume must equal the uninterrupted run"
     );
-}
-
-#[test]
-fn feed_mode_snapshot_resumes_byte_identically() {
-    let cfg = gated_cfg(17, 0.8).with_feed_arrivals(true);
-    let mut sim = Simulation::builder(&cfg).build().expect("config materialises");
-    for _ in 0..48 {
-        sim.step().expect("prefix shorter than the run");
-    }
-    let snap = sim.snapshot();
-    drop(sim);
-    let resumed = Simulation::builder(&cfg)
-        .resume_from(&snap)
-        .build()
-        .expect("snapshot restores")
-        .run_to_end();
-    let cold = run_experiment(&cfg);
-    assert_eq!(serde_json::to_string(&resumed).unwrap(), serde_json::to_string(&cold).unwrap(),);
 }
 
 #[test]
