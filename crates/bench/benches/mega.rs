@@ -14,7 +14,8 @@
 //!   activation-index cost (amortised O(total) for the week, O(live churn)
 //!   per slot).
 //! - `mega_slot_synthesis`: the simulation hot path — cursor advance plus
-//!   per-stream keyed synthesis into a reused buffer, across one week.
+//!   per-stream keyed synthesis into a buffer cleared and reused every
+//!   slot, across one week.
 //! - `mega_generate`: cold population build (oversample + thin + sort +
 //!   block index), the one genuinely O(total) step, paid once per world.
 //! - `mega_week_e2e`: the headline number — a full week-long
@@ -68,6 +69,7 @@ fn bench_slot_synthesis(c: &mut Criterion) {
                 let mut requests = 0usize;
                 for slot in 0..slots {
                     let live: Vec<u32> = cursor.advance_to(gen, clock, slot).to_vec();
+                    out.clear();
                     gen.synthesize_streams_into(clock, slot, &live, &mut out);
                     requests += out.len();
                 }

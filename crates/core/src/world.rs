@@ -28,7 +28,7 @@ use gm_storage::ClusterLayout;
 use gm_workload::trace::Workload;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// The immutable inputs of one *site*: its green production trace and its
 /// placed cluster layout. A single-site world has exactly one of these.
@@ -101,13 +101,17 @@ impl World {
 
 /// One memoised component family: key → build-once cell.
 ///
-/// The per-key `OnceLock` is what makes concurrent misses safe *and*
+/// The per-key cell lock is what makes concurrent misses safe *and*
 /// single-build: the map lock is only held to look up the cell, never
 /// while materialising, and racing workers on the same key serialise on
-/// `OnceLock::get_or_init` so exactly one of them pays the build.
+/// the cell so exactly one of them pays the build. A build that fails
+/// leaves its cell empty and returns the error to its caller.
 struct Shard<T> {
-    map: Mutex<HashMap<String, Arc<OnceLock<Arc<T>>>>>,
+    map: Mutex<HashMap<String, Cell<T>>>,
 }
+
+/// One key's build-once cell: empty until a build succeeds.
+type Cell<T> = Arc<Mutex<Option<Arc<T>>>>;
 
 impl<T> Default for Shard<T> {
     fn default() -> Self {
@@ -116,24 +120,26 @@ impl<T> Default for Shard<T> {
 }
 
 impl<T> Shard<T> {
-    fn get_or_build(&self, key: String, stats: &CacheStats, build: impl FnOnce() -> T) -> Arc<T> {
+    fn get_or_build(
+        &self,
+        key: String,
+        stats: &CacheStats,
+        build: impl FnOnce() -> Result<T, ConfigError>,
+    ) -> Result<Arc<T>, ConfigError> {
         let cell = {
             let mut map = self.map.lock().expect("world cache lock");
-            map.entry(key).or_insert_with(|| Arc::new(OnceLock::new())).clone()
+            map.entry(key).or_default().clone()
         };
-        let mut built = false;
-        let value = cell
-            .get_or_init(|| {
-                built = true;
-                Arc::new(build())
-            })
-            .clone();
-        if built {
-            stats.misses.fetch_add(1, Ordering::Relaxed);
-        } else {
+        // A build that panicked leaves the cell empty, as a failed one does.
+        let mut slot = cell.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(value) = &*slot {
             stats.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(Arc::clone(value));
         }
-        value
+        let value = Arc::new(build()?);
+        *slot = Some(Arc::clone(&value));
+        stats.misses.fetch_add(1, Ordering::Relaxed);
+        Ok(value)
     }
 }
 
@@ -226,17 +232,28 @@ impl WorldCache {
     pub fn get_or_materialize(&self, cfg: &ExperimentConfig) -> Result<World, ConfigError> {
         cfg.validate_sites()?;
         let site_cfgs = cfg.site_configs();
-        let layouts: Vec<Arc<ClusterLayout>> = site_cfgs
+        let invalid = |message: String| ConfigError::Invalid { message };
+        cfg.workload.validate().map_err(|e| invalid(e.to_string()))?;
+        let (objects, home_objects) =
+            (cfg.workload.interactive.objects, site_cfgs[0].cluster.objects);
+        if objects > home_objects {
+            return Err(invalid(format!(
+                "workload spec: interactive.objects = {objects} exceeds the home cluster's \
+                 {home_objects} objects"
+            )));
+        }
+        let layouts = site_cfgs
             .iter()
             .map(|site| {
                 self.layouts.get_or_build(layout_key(site), &self.stats, || {
-                    ClusterLayout::new(site.cluster.clone())
+                    Ok(ClusterLayout::new(site.cluster.clone()))
                 })
             })
-            .collect();
+            .collect::<Result<Vec<_>, _>>()?;
         let workload = self.workloads.get_or_build(workload_key(cfg), &self.stats, || {
-            Workload::generate(cfg.workload.clone(), cfg.seed)
-        });
+            Workload::try_generate(cfg.workload.clone(), cfg.seed)
+                .map_err(|e| invalid(e.to_string()))
+        })?;
         let mut sites = Vec::with_capacity(site_cfgs.len());
         for (i, (site, layout)) in site_cfgs.iter().zip(layouts).enumerate() {
             let site_seed = cfg.site_seed(i);
@@ -246,8 +263,7 @@ impl WorldCache {
             } else {
                 self.traces.get_or_build(trace_key(cfg, site, site_seed), &self.stats, || {
                     site.try_materialize_trace(cfg.clock, cfg.slots, &rngs)
-                        .expect("synthetic sources are infallible")
-                })
+                })?
             };
             sites.push(SiteWorld { green_trace, layout });
         }
@@ -353,5 +369,40 @@ mod tests {
             assert!(Arc::ptr_eq(&site.layout, world.layout()), "equal clusters, one layout");
             assert!(!Arc::ptr_eq(&site.green_trace, world.green_trace()), "offsets differ");
         }
+    }
+
+    #[test]
+    fn degenerate_workload_specs_are_typed_errors_not_panics() {
+        type Edit = fn(&mut ExperimentConfig);
+        let cases: [(&str, Edit); 10] = [
+            ("interactive.zipf_s", |c| c.workload.interactive.zipf_s = f64::NAN),
+            ("interactive.zipf_s", |c| c.workload.interactive.zipf_s = -0.5),
+            ("interactive.size_cv", |c| c.workload.interactive.size_cv = -1.0),
+            ("interactive.mean_size_bytes", |c| {
+                c.workload.interactive.mean_size_bytes = f64::INFINITY
+            }),
+            ("interactive.rate_rps", |c| c.workload.interactive.rate_rps = f64::NAN),
+            ("interactive.read_fraction", |c| c.workload.interactive.read_fraction = 1.5),
+            ("interactive.diurnal_amplitude", |c| c.workload.interactive.diurnal_amplitude = 2.0),
+            ("interactive.objects", |c| c.workload.interactive.objects = 0),
+            ("exceeds the home cluster", |c| {
+                c.workload.interactive.objects = c.cluster.objects + 1
+            }),
+            ("batch.mean_bytes", |c| c.workload.batch.mean_bytes = 0.0),
+        ];
+        let cache = WorldCache::new();
+        for (field, edit) in cases {
+            let mut cfg = ExperimentConfig::small_demo(5);
+            edit(&mut cfg);
+            match cache.get_or_materialize(&cfg) {
+                Err(ConfigError::Invalid { message }) => {
+                    assert!(message.contains(field), "{field}: {message}")
+                }
+                other => panic!("{field}: expected ConfigError::Invalid, got {other:?}"),
+            }
+        }
+        assert_eq!((cache.hits(), cache.misses()), (0, 0), "rejected before any build");
+        // The cache still builds a sound config afterwards.
+        cache.get_or_materialize(&ExperimentConfig::small_demo(5)).expect("sound config");
     }
 }

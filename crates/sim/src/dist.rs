@@ -2,8 +2,11 @@
 //!
 //! Implemented directly against [`rand::Rng`] so the workspace needs no
 //! extra distribution crate. Each sampler documents the algorithm it uses;
-//! all are standard textbook methods chosen for determinism and clarity over
-//! micro-performance (sampling is nowhere near the simulation hot path).
+//! all are standard textbook methods chosen for determinism. Request
+//! synthesis draws a [`Zipf`] rank and a [`LogNormal`] size for every
+//! interactive request, so those two samplers sit on the simulation hot
+//! path: their per-draw work is kept to a table lookup and one Box–Muller
+//! draw, without changing a single drawn bit (seeded runs are pinned).
 
 use rand::Rng;
 
@@ -78,15 +81,45 @@ pub fn lognormal<R: Rng + ?Sized>(rng: &mut R, mu: f64, sigma: f64) -> f64 {
 }
 
 /// Lognormal parameterised by its own mean and coefficient of variation —
-/// friendlier for workload configs ("mean 256 KiB, cv 1.5").
+/// friendlier for workload configs ("mean 256 KiB, cv 1.5"). One-shot
+/// form of [`LogNormal::from_mean_cv`]; draws the identical value.
 pub fn lognormal_mean_cv<R: Rng + ?Sized>(rng: &mut R, mean: f64, cv: f64) -> f64 {
-    assert!(mean > 0.0 && cv >= 0.0);
-    if cv == 0.0 {
-        return mean;
+    LogNormal::from_mean_cv(mean, cv).sample(rng)
+}
+
+/// A lognormal sampler with its underlying-normal parameters computed
+/// once, for loops that draw many values from one `(mean, cv)`.
+///
+/// `cv = 0` is the degenerate distribution: every draw returns `mean` and
+/// consumes no randomness.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LogNormal {
+    mean: f64,
+    /// `(mu, sigma)` of the underlying normal; `None` when `cv = 0`.
+    normal: Option<(f64, f64)>,
+}
+
+impl LogNormal {
+    /// The lognormal with mean `mean > 0` and coefficient of variation
+    /// `cv ≥ 0`: `sigma² = ln(1 + cv²)`, `mu = ln(mean) − sigma²/2`.
+    pub fn from_mean_cv(mean: f64, cv: f64) -> Self {
+        assert!(mean > 0.0 && cv >= 0.0);
+        if cv == 0.0 {
+            return LogNormal { mean, normal: None };
+        }
+        let sigma2 = (1.0 + cv * cv).ln();
+        let mu = mean.ln() - sigma2 / 2.0;
+        LogNormal { mean, normal: Some((mu, sigma2.sqrt())) }
     }
-    let sigma2 = (1.0 + cv * cv).ln();
-    let mu = mean.ln() - sigma2 / 2.0;
-    lognormal(rng, mu, sigma2.sqrt())
+
+    /// Draw one value.
+    #[inline]
+    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+        match self.normal {
+            None => self.mean,
+            Some((mu, sigma)) => lognormal(rng, mu, sigma),
+        }
+    }
 }
 
 /// Inverse CDF (quantile function) of the standard normal distribution.
@@ -146,12 +179,20 @@ pub fn normal_quantile(p: f64) -> f64 {
 
 /// Zipf sampler over ranks `0..n` with exponent `s` (popularity skew).
 ///
-/// Builds the CDF once (O(n)) and samples with binary search (O(log n)).
+/// Builds the CDF once (O(n)) plus a guide table (Chen & Asau's indexed
+/// search): `guide[j]` is the first rank whose CDF reaches `j/m`, for `m`
+/// the smallest power of two ≥ `n`. A draw `u` starts at `guide[⌊u·m⌋]`
+/// and scans forward, a few steps on average. Because `m` is a power of
+/// two, `u·m` and `j/m` are exact in `f64`, so every rank before the
+/// starting point has a CDF below `u` and the scan returns exactly the
+/// rank a binary search over the CDF returns (see [`Zipf::sample`]).
 /// Object-popularity skew in storage traces is classically Zipfian with
 /// `s ≈ 0.8–1.2`.
 #[derive(Debug, Clone)]
 pub struct Zipf {
     cdf: Vec<f64>,
+    /// `guide[j]` = first index with `cdf ≥ j / guide.len()`.
+    guide: Vec<u32>,
 }
 
 impl Zipf {
@@ -171,7 +212,8 @@ impl Zipf {
         }
         // Guard against FP round-off leaving the last CDF entry below 1.
         *cdf.last_mut().expect("n > 0") = 1.0;
-        Zipf { cdf }
+        let guide = guide_table(&cdf);
+        Zipf { cdf, guide }
     }
 
     /// Number of ranks.
@@ -185,12 +227,28 @@ impl Zipf {
     }
 
     /// Sample a rank in `0..n` (0 = most popular).
+    ///
+    /// Returns the first rank whose CDF reaches `u`: the rank a binary
+    /// search over the CDF returns, because the CDF is strictly increasing
+    /// below its final run of 1.0s (the running sum only stops growing
+    /// once it equals the total) and `u < 1`. `cdf[n−1] = 1` ends the
+    /// scan inside the table.
+    #[inline]
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let u: f64 = rng.gen();
-        match self.cdf.binary_search_by(|p| p.partial_cmp(&u).expect("cdf is finite")) {
-            Ok(i) => i,
-            Err(i) => i.min(self.cdf.len() - 1),
+        debug_assert!((0.0..1.0).contains(&u));
+        self.rank_of(u)
+    }
+
+    /// The rank drawn by uniform `u ∈ [0, 1)`.
+    #[inline]
+    fn rank_of(&self, u: f64) -> usize {
+        let m = self.guide.len() as f64;
+        let mut i = self.guide[(u * m) as usize] as usize;
+        while self.cdf[i] < u {
+            i += 1;
         }
+        i
     }
 
     /// Probability mass of rank `k`.
@@ -204,6 +262,25 @@ impl Zipf {
             self.cdf[k] - self.cdf[k - 1]
         }
     }
+}
+
+/// The guide table of a CDF whose last entry is 1: `m` = the smallest
+/// power of two ≥ `cdf.len()` entries, entry `j` the first index with
+/// `cdf ≥ j/m`. Both `j/m` and the sampler's `u·m` are exact.
+fn guide_table(cdf: &[f64]) -> Vec<u32> {
+    assert!(u32::try_from(cdf.len()).is_ok(), "zipf supports at most 2^32 - 1 ranks");
+    let m = cdf.len().next_power_of_two();
+    let bucket = 1.0 / m as f64; // a power of two: exact, and so is j·bucket
+    let mut guide = Vec::with_capacity(m);
+    let mut i = 0;
+    for j in 0..m {
+        let x = j as f64 * bucket;
+        while cdf[i] < x {
+            i += 1;
+        }
+        guide.push(i as u32);
+    }
+    guide
 }
 
 /// First-order autoregressive process `x' = phi·x + (1-phi)·mean + noise`,
@@ -256,8 +333,9 @@ impl Ar1 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::test_runner::TestRng;
     use rand::rngs::SmallRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn rng() -> SmallRng {
         SmallRng::seed_from_u64(0x5EED)
@@ -395,6 +473,130 @@ mod tests {
         for _ in 0..1_000 {
             let x = p.step_clamped(&mut r, 0.0, 1.0);
             assert!((0.0..=1.0).contains(&x));
+        }
+    }
+
+    /// The sampler as it stood before the guide table: a binary search
+    /// over the CDF. Kept only as the exactness oracle.
+    fn binary_search_rank(z: &Zipf, u: f64) -> usize {
+        match z.cdf.binary_search_by(|p| p.partial_cmp(&u).expect("cdf is finite")) {
+            Ok(i) => i,
+            Err(i) => i.min(z.cdf.len() - 1),
+        }
+    }
+
+    /// Every probe point that can change a rank: each CDF knot in `ranks`,
+    /// its two `f64` neighbours, each guide-bucket boundary `j/m` those
+    /// knots fall in and the value just below it, plus random `u`. Only
+    /// values in `[0, 1)` are drawn.
+    fn assert_rank_matches_binary_search(
+        z: &Zipf,
+        ranks: std::ops::Range<usize>,
+        r: &mut TestRng,
+        random_draws: usize,
+    ) {
+        // The sampler relies on a strictly increasing CDF below 1.0.
+        assert!(z.cdf.windows(2).all(|w| w[0] < w[1] || w[1] == 1.0), "n={} plateau", z.len());
+        let m = z.guide.len();
+        let mut probes: Vec<f64> = Vec::new();
+        for &c in &z.cdf[ranks] {
+            probes.extend([c, f64::from_bits(c.to_bits() - 1), f64::from_bits(c.to_bits() + 1)]);
+            let x = (c * m as f64).floor() / m as f64;
+            probes.extend([x, f64::from_bits(x.to_bits().saturating_sub(1))]);
+        }
+        probes.extend((0..random_draws).map(|_| r.unit_f64()));
+        probes.push(f64::from_bits(1.0f64.to_bits() - 1));
+        probes.retain(|u| (0.0..1.0).contains(u));
+        probes.sort_by(f64::total_cmp);
+        probes.dedup();
+        for u in probes {
+            let (got, want) = (z.rank_of(u), binary_search_rank(z, u));
+            assert_eq!(got, want, "n={} u={u:e} ({:#x})", z.len(), u.to_bits());
+        }
+    }
+
+    #[test]
+    fn exactness_zipf_guide_table_matches_binary_search() {
+        for case in 0..64u32 {
+            let mut r = TestRng::for_case("exactness-zipf", case);
+            // Log-uniform n over 1..=2^12 and s over [0, 5]: large s gives
+            // CDFs that flatten into plateaus. (Probing every knot costs
+            // O(n²) when a heavy tail packs most knots into the last guide
+            // bucket, so the all-knot sweep stays at small n; one random
+            // draw still lands there with probability 1/m.)
+            let n = (2f64.powf(r.unit_f64() * 12.0) as usize).max(1);
+            let s = match case % 4 {
+                0 => 0.0,
+                1 => 5.0,
+                _ => r.unit_f64() * 5.0,
+            };
+            assert_rank_matches_binary_search(&Zipf::new(n, s), 0..n, &mut r, 2_000);
+        }
+        // Uniform tables whose knots land exactly on guide boundaries j/m.
+        let mut r = TestRng::for_case("exactness-zipf-dyadic", 0);
+        for n in [64, 1_000, 3_000] {
+            assert_rank_matches_binary_search(&Zipf::new(n, 0.0), 0..n, &mut r, 100);
+        }
+        // The medium and mega presets' popularity table (10^5 objects,
+        // s = 0.9), a 10^6 one, and a heavy-tailed table whose tail CDF
+        // saturates at exactly 1: every knot of the head, the tail and one
+        // random window.
+        let mut r = TestRng::for_case("exactness-zipf-large", 0);
+        for (n, s) in [(100_000usize, 0.9), (1_000_000, 0.9), (100_000, 5.0)] {
+            let z = Zipf::new(n, s);
+            let mid = (r.next_u64() % (n as u64 - 8_192)) as usize;
+            for ranks in [0..4_096, mid..mid + 4_096, n - 4_096..n] {
+                assert_rank_matches_binary_search(&z, ranks, &mut r, 5_000);
+            }
+        }
+    }
+
+    #[test]
+    fn exactness_zipf_draws_match_binary_search_stream() {
+        // Whole draw sequences, as the synthesis kernel consumes them.
+        let z = Zipf::new(10_000, 0.9);
+        let (mut a, mut b) = (rng(), rng());
+        for _ in 0..N {
+            let u: f64 = b.gen();
+            assert_eq!(z.sample(&mut a), binary_search_rank(&z, u));
+        }
+    }
+
+    /// `lognormal_mean_cv` as it stood before [`LogNormal`] hoisted its
+    /// parameters. Kept only as the exactness oracle.
+    fn lognormal_mean_cv_inline<R: Rng + ?Sized>(rng: &mut R, mean: f64, cv: f64) -> f64 {
+        if cv == 0.0 {
+            return mean;
+        }
+        let sigma2 = (1.0 + cv * cv).ln();
+        let mu = mean.ln() - sigma2 / 2.0;
+        lognormal(rng, mu, sigma2.sqrt())
+    }
+
+    #[test]
+    fn exactness_hoisted_lognormal_matches_inline_formula() {
+        for case in 0..64u32 {
+            let mut r = TestRng::for_case("exactness-lognormal", case);
+            let mean = 2f64.powf(r.unit_f64() * 60.0 - 10.0);
+            let cv = match case % 4 {
+                0 => 0.0,
+                1 => 1e-9 * r.unit_f64(),
+                _ => r.unit_f64() * 4.0,
+            };
+            let hoisted = LogNormal::from_mean_cv(mean, cv);
+            let seed = r.next_u64();
+            let (mut a, mut b, mut c) = (
+                SmallRng::seed_from_u64(seed),
+                SmallRng::seed_from_u64(seed),
+                SmallRng::seed_from_u64(seed),
+            );
+            for _ in 0..500 {
+                let want = lognormal_mean_cv_inline(&mut a, mean, cv);
+                assert_eq!(hoisted.sample(&mut b).to_bits(), want.to_bits(), "mean {mean} cv {cv}");
+                assert_eq!(lognormal_mean_cv(&mut c, mean, cv).to_bits(), want.to_bits());
+            }
+            // Both consumed the identical number of draws.
+            assert_eq!(a.next_u64(), b.next_u64());
         }
     }
 

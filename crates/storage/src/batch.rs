@@ -39,15 +39,6 @@ impl RequestBatch {
         RequestBatch::default()
     }
 
-    /// Build from requests (already in arrival order).
-    pub fn from_requests(requests: &[IoRequest]) -> Self {
-        let mut batch = RequestBatch::with_capacity(requests.len());
-        for r in requests {
-            batch.push(r);
-        }
-        batch
-    }
-
     /// An empty batch with per-column capacity `n`.
     pub fn with_capacity(n: usize) -> Self {
         RequestBatch {
@@ -56,6 +47,32 @@ impl RequestBatch {
             sizes: Vec::with_capacity(n),
             kinds: Vec::with_capacity(n),
         }
+    }
+
+    /// The columns of `rows` taken in `order`: entry `k` of the batch is
+    /// `rows[order[k]]`. One pass, each column written in place.
+    ///
+    /// # Panics
+    /// If an entry of `order` is out of range for `rows`.
+    pub fn gather(rows: &[IoRequest], order: &[u32]) -> Self {
+        let n = order.len();
+        let mut batch = RequestBatch {
+            arrivals: vec![SimTime::ZERO; n],
+            objects: vec![ObjectId(0); n],
+            sizes: vec![0; n],
+            kinds: vec![IoKind::Read; n],
+        };
+        let columns = batch
+            .arrivals
+            .iter_mut()
+            .zip(&mut batch.objects)
+            .zip(&mut batch.sizes)
+            .zip(&mut batch.kinds);
+        for ((((arrival, object), size), kind), &i) in columns.zip(order) {
+            let r = &rows[i as usize];
+            (*arrival, *object, *size, *kind) = (r.arrival, r.object, r.size_bytes, r.kind);
+        }
+        batch
     }
 
     /// Append one request to the columns.
@@ -135,6 +152,18 @@ impl RequestBatch {
     }
 }
 
+/// Collect requests (already in arrival order) into the columns.
+impl FromIterator<IoRequest> for RequestBatch {
+    fn from_iter<I: IntoIterator<Item = IoRequest>>(requests: I) -> Self {
+        let requests = requests.into_iter();
+        let mut batch = RequestBatch::with_capacity(requests.size_hint().0);
+        for r in requests {
+            batch.push(&r);
+        }
+        batch
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,7 +179,7 @@ mod tests {
     #[test]
     fn roundtrips_requests() {
         let reqs = sample();
-        let batch = RequestBatch::from_requests(&reqs);
+        let batch: RequestBatch = reqs.iter().copied().collect();
         assert_eq!(batch.len(), 3);
         assert!(!batch.is_empty());
         let back: Vec<IoRequest> = batch.iter().collect();
@@ -159,8 +188,16 @@ mod tests {
     }
 
     #[test]
+    fn gather_takes_rows_in_order() {
+        let reqs = sample();
+        let batch = RequestBatch::gather(&reqs, &[2, 0, 1]);
+        assert_eq!(batch.iter().collect::<Vec<_>>(), vec![reqs[2], reqs[0], reqs[1]]);
+        assert!(RequestBatch::gather(&reqs, &[]).is_empty());
+    }
+
+    #[test]
     fn column_scans() {
-        let batch = RequestBatch::from_requests(&sample());
+        let batch: RequestBatch = sample().into_iter().collect();
         assert_eq!(batch.total_bytes(), 4096 + 512 + 1024);
         assert_eq!(batch.read_count(), 2);
         assert_eq!(batch.sizes(), &[4096, 512, 1024]);
@@ -171,7 +208,7 @@ mod tests {
 
     #[test]
     fn clear_retains_capacity() {
-        let mut batch = RequestBatch::from_requests(&sample());
+        let mut batch: RequestBatch = sample().into_iter().collect();
         let cap = batch.sizes.capacity();
         batch.clear();
         assert!(batch.is_empty());

@@ -272,7 +272,7 @@ fn random_batch(rng: &mut SmallRng, slot: u64, objects: u64, write_share: f64) -
     let mut arrivals: Vec<u64> =
         (0..n).map(|_| start + rng.gen_range(0..3_600_000_000u64)).collect();
     arrivals.sort_unstable();
-    let requests: Vec<IoRequest> = arrivals
+    arrivals
         .into_iter()
         .map(|t| {
             let object =
@@ -284,8 +284,7 @@ fn random_batch(rng: &mut SmallRng, slot: u64, objects: u64, write_share: f64) -
                 IoRequest::read(SimTime(t), ObjectId(object), size)
             }
         })
-        .collect();
-    RequestBatch::from_requests(&requests)
+        .collect()
 }
 
 fn snapshot_json(c: &Cluster) -> String {

@@ -26,7 +26,7 @@
 //!   that skips blocks whose latest `end` precedes the slot. Exact same
 //!   set, usable from any slot without history (cold queries, resume).
 
-use gm_sim::dist::{exponential, lognormal_mean_cv, poisson, Zipf};
+use gm_sim::dist::{exponential, poisson, LogNormal, Zipf};
 use gm_sim::rng::splitmix64;
 use gm_sim::time::{SimDuration, SimTime};
 use gm_sim::{RngFactory, SlotClock};
@@ -440,7 +440,8 @@ impl InteractiveGenerator {
     /// disjoint stream ranges in ascending stream order — no matter how
     /// the ranges were split across shards or threads — yields exactly
     /// the sequence a single-threaded walk of the live set produces. One
-    /// stable sort by arrival then gives the canonical slot ordering.
+    /// stable ordering by arrival (`Workload`'s radix `arrival_order`)
+    /// then gives the canonical slot ordering.
     pub fn synthesize_streams_into(
         &self,
         clock: SlotClock,
@@ -453,6 +454,8 @@ impl InteractiveGenerator {
         let mid = a + clock.width() / 2;
         let diurnal = self.spec.diurnal(mid);
         let slot_mix = (slot as u64).wrapping_mul(KEY_B);
+        let sizes = LogNormal::from_mean_cv(self.spec.mean_size_bytes, self.spec.size_cv);
+        let read_fraction = self.spec.read_fraction;
         for &i in streams {
             let i = i as usize;
             let s = self.cols.get(i);
@@ -467,15 +470,14 @@ impl InteractiveGenerator {
             let mut rng = SmallRng::seed_from_u64(splitmix64(&mut state));
             let mean = s.rate_rps * ov * diurnal;
             let n = poisson(&mut rng, mean);
+            let lo = s.start.max(a);
+            let span = s.end.min(b).saturating_sub(lo).as_secs_f64();
             for _ in 0..n {
-                let lo = s.start.max(a);
-                let span = s.end.min(b).saturating_sub(lo).as_secs_f64();
                 let dt = rng.gen::<f64>() * span;
                 let arrival = lo + SimDuration::from_secs_f64(dt);
                 let object = ObjectId(self.popularity.sample(&mut rng) as u64);
-                let size = lognormal_mean_cv(&mut rng, self.spec.mean_size_bytes, self.spec.size_cv)
-                    .max(512.0) as u64;
-                let req = if rng.gen::<f64>() < self.spec.read_fraction {
+                let size = sizes.sample(&mut rng).max(512.0) as u64;
+                let req = if rng.gen::<f64>() < read_fraction {
                     IoRequest::read(arrival, object, size)
                 } else {
                     IoRequest::write(arrival, object, size)

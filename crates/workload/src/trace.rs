@@ -10,7 +10,7 @@
 //! (one row per job), the substitution point for a user's real trace.
 
 use crate::batch::{BatchGenerator, BatchSpec};
-use crate::interactive::{InteractiveGenerator, InteractiveSpec};
+use crate::interactive::{InteractiveError, InteractiveGenerator, InteractiveSpec};
 use crate::job::{BatchJob, BatchKind, JobId, JobState};
 use gm_sim::pool::Task;
 use gm_sim::time::SimTime;
@@ -76,6 +76,81 @@ impl WorkloadSpec {
     }
 }
 
+/// Why a [`WorkloadSpec`] could not be turned into a [`Workload`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum WorkloadError {
+    /// A spec field lies outside its domain.
+    Invalid {
+        /// The field, e.g. `interactive.zipf_s`.
+        field: &'static str,
+        /// Its value.
+        value: f64,
+        /// The domain it must lie in.
+        expected: &'static str,
+    },
+    /// The interactive population could not be drawn.
+    Interactive(InteractiveError),
+}
+
+impl std::fmt::Display for WorkloadError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            WorkloadError::Invalid { field, value, expected } => {
+                write!(f, "workload spec: {field} = {value}, expected {expected}")
+            }
+            WorkloadError::Interactive(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for WorkloadError {}
+
+impl WorkloadSpec {
+    /// Check every field a build or a slot's synthesis would otherwise
+    /// trip over with a panic (non-finite or out-of-range rates, sizes,
+    /// shares and exponents). Whether `interactive.objects` fits the
+    /// cluster is the caller's check: the spec does not know the cluster.
+    pub fn validate(&self) -> Result<(), WorkloadError> {
+        let (i, b) = (&self.interactive, &self.batch);
+        let finite_nonneg = |x: f64| x.is_finite() && x >= 0.0;
+        let finite_pos = |x: f64| x.is_finite() && x > 0.0;
+        let unit = |x: f64| (0.0..=1.0).contains(&x);
+        let checks: [(&'static str, f64, bool, &'static str); 10] = [
+            ("interactive.zipf_s", i.zipf_s, finite_nonneg(i.zipf_s), "a finite value >= 0"),
+            ("interactive.size_cv", i.size_cv, finite_nonneg(i.size_cv), "a finite value >= 0"),
+            (
+                "interactive.mean_size_bytes",
+                i.mean_size_bytes,
+                finite_pos(i.mean_size_bytes),
+                "a finite value > 0",
+            ),
+            ("interactive.rate_rps", i.rate_rps, finite_nonneg(i.rate_rps), "a finite value >= 0"),
+            (
+                "interactive.read_fraction",
+                i.read_fraction,
+                unit(i.read_fraction),
+                "a value in [0, 1]",
+            ),
+            (
+                "interactive.diurnal_amplitude",
+                i.diurnal_amplitude,
+                unit(i.diurnal_amplitude),
+                "a value in [0, 1]",
+            ),
+            ("interactive.objects", i.objects as f64, i.objects >= 1, "at least 1"),
+            ("batch.jobs", b.jobs as f64, b.jobs >= 1, "at least 1"),
+            ("batch.mean_bytes", b.mean_bytes, finite_pos(b.mean_bytes), "a finite value > 0"),
+            ("batch.size_cv", b.size_cv, finite_nonneg(b.size_cv), "a finite value >= 0"),
+        ];
+        match checks.into_iter().find(|&(_, _, ok, _)| !ok) {
+            Some((field, value, _, expected)) => {
+                Err(WorkloadError::Invalid { field, value, expected })
+            }
+            None => Ok(()),
+        }
+    }
+}
+
 /// Live-set size below which sharded synthesis is not worth the fan-out
 /// overhead (task boxing + result stitching).
 const SHARD_THRESHOLD: usize = 8_192;
@@ -102,12 +177,27 @@ pub struct Workload {
 type SlotBatchCell = Arc<OnceLock<Arc<RequestBatch>>>;
 
 impl Workload {
-    /// Build from a spec and master seed.
+    /// Build from a spec and master seed, panicking where
+    /// [`Self::try_generate`] returns an error.
     pub fn generate(spec: WorkloadSpec, seed: u64) -> Self {
+        Self::try_generate(spec, seed).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Build from a spec and master seed. The spec is checked
+    /// ([`WorkloadSpec::validate`]) before anything is drawn; a population
+    /// whose diurnal thinning stalls is reported too.
+    pub fn try_generate(spec: WorkloadSpec, seed: u64) -> Result<Self, WorkloadError> {
+        spec.validate()?;
         let rngs = RngFactory::new(seed);
-        let interactive = Arc::new(InteractiveGenerator::new(spec.interactive.clone(), &rngs));
+        let interactive = InteractiveGenerator::try_new(spec.interactive.clone(), &rngs)
+            .map_err(WorkloadError::Interactive)?;
         let batch_jobs = BatchGenerator::new(spec.batch.clone()).generate(&rngs);
-        Workload { spec, interactive, batch_jobs, slot_batches: Mutex::new(HashMap::new()) }
+        Ok(Workload {
+            spec,
+            interactive: Arc::new(interactive),
+            batch_jobs,
+            slot_batches: Mutex::new(HashMap::new()),
+        })
     }
 
     /// The spec.
@@ -137,25 +227,28 @@ impl Workload {
     }
 
     /// Synthesise the requests of the given live streams, fanned across
-    /// `shards` pool tasks, and return them in canonical slot order.
+    /// `shards` pool tasks: the rows in stream order, plus the permutation
+    /// that puts them in canonical slot order.
     ///
     /// **Shard-invariant by construction**: each stream's requests come
     /// from its own `(stream, slot)`-keyed RNG, shards cover disjoint
-    /// contiguous ranges of the ascending live list, results are stitched
-    /// by shard index, and one stable sort by arrival produces the
-    /// canonical order. The output is byte-identical for every `shards`
-    /// value and thread count (a property test pins this).
+    /// contiguous ranges of the ascending live list, and results are
+    /// stitched by shard index, so the rows are the same for every
+    /// `shards` value and thread count (a property test pins this).
+    /// [`arrival_order`] ranks them by arrival, stably (ties keep stream
+    /// order); callers gather once through it, into a `Vec<IoRequest>` or
+    /// straight into the columns of a [`RequestBatch`].
     fn synthesize_live(
         &self,
         clock: SlotClock,
         slot: usize,
         live: &[u32],
         shards: usize,
-    ) -> Vec<IoRequest> {
+    ) -> (Vec<IoRequest>, Vec<u32>) {
         let shards = shards.clamp(1, live.len().max(1));
-        let mut out = Vec::new();
+        let mut rows = Vec::new();
         if shards == 1 {
-            self.interactive.synthesize_streams_into(clock, slot, live, &mut out);
+            self.interactive.synthesize_streams_into(clock, slot, live, &mut rows);
         } else {
             let chunk = live.len().div_ceil(shards);
             let cells: Arc<Vec<Mutex<Vec<IoRequest>>>> =
@@ -176,11 +269,23 @@ impl Workload {
                 .collect();
             WorkPool::global().scatter(tasks);
             for cell in cells.iter() {
-                out.append(&mut cell.lock().expect("shard cell"));
+                rows.append(&mut cell.lock().expect("shard cell"));
             }
         }
-        out.sort_by_key(|r| r.arrival); // stable: ties keep stream order
-        out
+        let order = arrival_order(&rows);
+        (rows, order)
+    }
+
+    /// [`Self::synthesize_live`] gathered into a `Vec` in slot order.
+    fn synthesize_live_rows(
+        &self,
+        clock: SlotClock,
+        slot: usize,
+        live: &[u32],
+        shards: usize,
+    ) -> Vec<IoRequest> {
+        let (rows, order) = self.synthesize_live(clock, slot, live, shards);
+        order.iter().map(|&i| rows[i as usize]).collect()
     }
 
     /// Synthesise one slot's requests with an explicit shard count —
@@ -194,7 +299,7 @@ impl Workload {
     ) -> Vec<IoRequest> {
         let mut live = Vec::new();
         self.interactive.live_streams_in_slot(clock, slot, &mut live);
-        self.synthesize_live(clock, slot, &live, shards)
+        self.synthesize_live_rows(clock, slot, &live, shards)
     }
 
     /// Requests of one slot (stateless live query + auto-sharded
@@ -202,7 +307,7 @@ impl Workload {
     pub fn requests_in_slot(&self, clock: SlotClock, slot: usize) -> Vec<IoRequest> {
         let mut live = Vec::new();
         self.interactive.live_streams_in_slot(clock, slot, &mut live);
-        self.synthesize_live(clock, slot, &live, Self::auto_shards(live.len()))
+        self.synthesize_live_rows(clock, slot, &live, Self::auto_shards(live.len()))
     }
 
     /// The slot's requests as a memoised columnar [`RequestBatch`] — the
@@ -259,8 +364,9 @@ impl Workload {
                     &fallback
                 }
             };
-            let requests = self.synthesize_live(clock, slot, live, Self::auto_shards(live.len()));
-            Arc::new(RequestBatch::from_requests(&requests))
+            let (rows, order) =
+                self.synthesize_live(clock, slot, live, Self::auto_shards(live.len()));
+            Arc::new(RequestBatch::gather(&rows, &order))
         })
         .clone()
     }
@@ -283,6 +389,72 @@ impl Workload {
         self.batch_jobs.sort_by_key(|j| j.submit);
         self
     }
+}
+
+/// Bits per digit of [`arrival_order`]'s radix sort: 2048 buckets, so a
+/// one-hour slot (2³² µs) sorts in three passes.
+const DIGIT_BITS: u32 = 11;
+const DIGIT_MASK: u64 = (1 << DIGIT_BITS) - 1;
+
+/// The permutation that sorts `requests` by arrival, **stably**: requests
+/// with equal arrivals keep their input order, exactly like a stable
+/// `sort_by_key(|r| r.arrival)`.
+///
+/// An LSD radix sort on 11-bit digits of `arrival − min`. Each element is
+/// one `u64`: key digits above the row index. The pass count comes from
+/// the span `max − min`, so any span sorts fully; when the key digits do
+/// not all fit beside the index (a span of more than ~2⁴⁴ µs), the sort
+/// runs in stages, repacking the next digits from the rows between them.
+/// Every pass is a stable counting scatter, and a pass whose digit is the
+/// same for every key is skipped. O(n · passes), no comparisons.
+pub(crate) fn arrival_order(requests: &[IoRequest]) -> Vec<u32> {
+    let n = requests.len();
+    assert!(u32::try_from(n).is_ok(), "at most 2^32 - 1 requests per slot");
+    let (min, max) = requests
+        .iter()
+        .fold((u64::MAX, 0), |(lo, hi), r| (lo.min(r.arrival.0), hi.max(r.arrival.0)));
+    let passes = (u64::BITS - max.saturating_sub(min).leading_zeros()).div_ceil(DIGIT_BITS);
+    let index_bits = u64::BITS - (n as u64).leading_zeros();
+    let index_mask = (1u64 << index_bits) - 1;
+    // Digits that fit beside the index: at least 2, as an index needs at
+    // most 32 bits.
+    let stage_digits = (u64::BITS - index_bits) / DIGIT_BITS;
+    let mut packed: Vec<u64> = (0..n as u64).collect();
+    let mut scratch = vec![0u64; n];
+    let mut counts = vec![[0u32; 1 << DIGIT_BITS]; stage_digits as usize];
+    let mut done = 0;
+    while done < passes {
+        let digits = stage_digits.min(passes - done);
+        let (shift, key_mask) = (done * DIGIT_BITS, (1u64 << (digits * DIGIT_BITS)) - 1);
+        let counts = &mut counts[..digits as usize];
+        counts.iter_mut().for_each(|hist| hist.fill(0));
+        for v in &mut packed {
+            let i = *v & index_mask;
+            let key = ((requests[i as usize].arrival.0 - min) >> shift) & key_mask;
+            for (d, hist) in counts.iter_mut().enumerate() {
+                hist[((key >> (d as u32 * DIGIT_BITS)) & DIGIT_MASK) as usize] += 1;
+            }
+            *v = key << index_bits | i;
+        }
+        for (d, hist) in counts.iter_mut().enumerate() {
+            if hist.contains(&(n as u32)) {
+                continue; // every key has the same digit here
+            }
+            let mut next = 0;
+            for c in hist.iter_mut() {
+                (*c, next) = (next, next + *c);
+            }
+            let digit_shift = index_bits + d as u32 * DIGIT_BITS;
+            for &v in &packed {
+                let b = ((v >> digit_shift) & DIGIT_MASK) as usize;
+                scratch[hist[b] as usize] = v;
+                hist[b] += 1;
+            }
+            std::mem::swap(&mut packed, &mut scratch);
+        }
+        done += digits;
+    }
+    packed.into_iter().map(|v| (v & index_mask) as u32).collect()
 }
 
 /// Serialize batch jobs to the CSV trace format:
@@ -506,6 +678,97 @@ mod tests {
                 "slot {slot}"
             );
         }
+    }
+
+    /// Requests with the given arrivals; the object id records the input
+    /// position, so any reordering of ties shows.
+    fn stamped(arrivals: &[u64]) -> Vec<IoRequest> {
+        arrivals
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| IoRequest::read(SimTime(t), gm_storage::ObjectId(i as u64), 512))
+            .collect()
+    }
+
+    /// The stable comparison sort [`arrival_order`] replaced, kept only as
+    /// its exactness oracle.
+    fn sorted_by_key(requests: &[IoRequest]) -> Vec<IoRequest> {
+        let mut sorted = requests.to_vec();
+        sorted.sort_by_key(|r| r.arrival);
+        sorted
+    }
+
+    fn radix_sorted(requests: &[IoRequest]) -> Vec<IoRequest> {
+        arrival_order(requests).iter().map(|&i| requests[i as usize]).collect()
+    }
+
+    #[test]
+    fn exactness_radix_arrival_order_matches_stable_sort() {
+        use proptest::test_runner::TestRng;
+        assert!(arrival_order(&[]).is_empty());
+        assert_eq!(arrival_order(&stamped(&[7])), vec![0]);
+        assert_eq!(arrival_order(&stamped(&[u64::MAX, 0])), vec![1, 0], "full 64-bit span");
+        for case in 0..200u32 {
+            let mut r = TestRng::for_case("exactness-radix", case);
+            let n = (r.next_u64() % 3_000) as usize;
+            // Spans from one value (every key ties) up to 2^47 µs, past
+            // 2^33 µs (a 2.4 h slot) and past the 44 key bits one packing
+            // stage holds; keys drawn from a few distinct values, so most
+            // tie with others, or from the whole span.
+            let span_bits = (r.next_u64() % 48) as u32;
+            let span = (1u64 << span_bits) - 1;
+            let base = r.next_u64() % (1 << 50);
+            let distinct = 1 + r.next_u64() % 64;
+            let choices: Vec<u64> = (0..distinct).map(|_| r.next_u64() % (span + 1)).collect();
+            let heavy_ties = case % 2 == 0;
+            let arrivals: Vec<u64> = (0..n)
+                .map(|_| {
+                    let offset = if heavy_ties {
+                        choices[(r.next_u64() % distinct) as usize]
+                    } else {
+                        r.next_u64() % (span + 1)
+                    };
+                    base + offset
+                })
+                .collect();
+            let requests = stamped(&arrivals);
+            assert_eq!(
+                radix_sorted(&requests),
+                sorted_by_key(&requests),
+                "case {case}: n {n}, span 2^{span_bits}"
+            );
+        }
+    }
+
+    #[test]
+    fn exactness_slot_synthesis_matches_stable_sort_of_rows() {
+        let w = small();
+        for (clock, slot) in [(SlotClock::hourly(), 40usize), (SlotClock::hourly(), 100)] {
+            let mut live = Vec::new();
+            w.interactive().live_streams_in_slot(clock, slot, &mut live);
+            let mut rows = Vec::new();
+            w.interactive().synthesize_streams_into(clock, slot, &live, &mut rows);
+            assert!(!rows.is_empty());
+            assert_eq!(w.requests_in_slot(clock, slot), sorted_by_key(&rows), "slot {slot}");
+        }
+    }
+
+    #[test]
+    fn try_generate_rejects_degenerate_specs_before_drawing() {
+        let mut spec = WorkloadSpec::small_week(1_000);
+        spec.interactive.zipf_s = f64::INFINITY;
+        match Workload::try_generate(spec, 11) {
+            Err(WorkloadError::Invalid { field, .. }) => assert_eq!(field, "interactive.zipf_s"),
+            other => panic!("expected an invalid zipf_s, got {:?}", other.err()),
+        }
+        let mut spec = WorkloadSpec::small_week(1_000);
+        spec.interactive.size_cv = f64::NAN;
+        let err = Workload::try_generate(spec, 11).err().expect("NaN size_cv is rejected");
+        assert_eq!(
+            err.to_string(),
+            "workload spec: interactive.size_cv = NaN, expected a finite value >= 0"
+        );
+        assert!(Workload::try_generate(WorkloadSpec::small_week(1_000), 11).is_ok());
     }
 
     #[test]
