@@ -6,7 +6,8 @@
 //!
 //! * committed golden files (`tests/golden/*.jsonl`) for the `small_demo`
 //!   preset under GreenMatch, its carbon-aware and windowed variants, and
-//!   a two-site WAN-priced GreenMatch run — regenerate with
+//!   a two-site WAN-priced GreenMatch run, and a 4 h-slot `small_demo`
+//!   week — regenerate with
 //!   `GM_UPDATE_GOLDEN=1 cargo test --test telemetry golden`;
 //! * same-seed runs must produce byte-identical traces;
 //! * every record must conserve energy on both sides of the meter;
@@ -76,11 +77,17 @@ fn two_site_cfg() -> ExperimentConfig {
 /// plans the same slot-0 work as the default 24-slot one there (green now
 /// is always cheapest and brown work waits for its deadline), so its
 /// golden pins the shorter network's bytes rather than a different plan.
+/// The 4 h-slot week (the widest width of the slot-length ablation) is the
+/// one whose slots span more than 2³² µs, so its batches cross the
+/// request rows' arrival high-word boundary inside a slot.
 fn golden_cases() -> Vec<(&'static str, ExperimentConfig)> {
     use gm_energy::SolarProfile;
+    use gm_sim::time::{SimDuration, SlotClock};
     use greenmatch::policy::PolicyKind;
 
     let winter = ExperimentConfig::small_demo(42).with_solar(15.0, SolarProfile::Winter);
+    let mut four_hour = ExperimentConfig::small_demo(42).with_slots(7 * 6);
+    four_hour.clock = SlotClock::new(SimDuration::from_hours(4));
     vec![
         ("tests/golden/small_demo_trace.jsonl", ExperimentConfig::small_demo(42)),
         ("tests/golden/two_site_wan200_trace.jsonl", two_site_cfg()),
@@ -92,6 +99,7 @@ fn golden_cases() -> Vec<(&'static str, ExperimentConfig)> {
             "tests/golden/winter_window12_trace.jsonl",
             winter.with_policy(PolicyKind::GreenMatchWindow { delay_fraction: 1.0, horizon: 12 }),
         ),
+        ("tests/golden/small_demo_4h_trace.jsonl", four_hour),
     ]
 }
 
