@@ -67,6 +67,50 @@ pub struct ClusterSpec {
 }
 
 impl ClusterSpec {
+    /// Check what the request path relies on: object ids must fit the
+    /// 32-bit object column of a [`RequestBatch`].
+    pub fn validate(&self) -> Result<(), String> {
+        if self.objects > u32::MAX as usize {
+            return Err(format!(
+                "cluster.objects = {}, expected at most 2^32 - 1 (requests store 32-bit object ids)",
+                self.objects
+            ));
+        }
+        Ok(())
+    }
+
+    /// Check a temperature layer for this cluster before
+    /// [`Cluster::enable_tiering`] builds it: valid EWMA parameters, a
+    /// `cold_fraction_target` in `[0, 1]`, at least one data and one
+    /// parity shard, and a `k + m` stripe that fits the gears.
+    pub fn validate_tiering(
+        &self,
+        params: &EwmaParams,
+        cold_fraction_target: f64,
+        k: usize,
+        m: usize,
+    ) -> Result<(), String> {
+        self.validate()?;
+        params.validate()?;
+        if !(0.0..=1.0).contains(&cold_fraction_target) {
+            return Err(format!(
+                "cold_fraction_target = {cold_fraction_target}, expected a value in [0, 1]"
+            ));
+        }
+        if k == 0 || m == 0 {
+            return Err(format!("EC ({k}+{m}) needs k >= 1 data and m >= 1 parity shards"));
+        }
+        let topo = self.topology;
+        let per_gear = topo.servers_per_gear() * topo.bays;
+        if (k + m).div_ceil(topo.gears) > per_gear {
+            return Err(format!(
+                "EC ({k}+{m}) shards do not fit {} gears of {per_gear} disks",
+                topo.gears
+            ));
+        }
+        Ok(())
+    }
+
     /// The default medium data center of the reconstruction: 48 servers ×
     /// 4 disks, 3-way gear replication, 100 k objects of 64 MiB.
     pub fn medium_dc() -> Self {
@@ -406,6 +450,9 @@ impl Cluster {
     /// hot/warm/cold each `tier_step`, and overlay `k + m` erasure coding
     /// for demoted objects. Must be called before any traffic (capacity
     /// accounting starts from the all-replicated state).
+    ///
+    /// # Panics
+    /// If [`ClusterSpec::validate_tiering`] rejects the arguments.
     pub fn enable_tiering(
         &mut self,
         params: EwmaParams,
@@ -414,18 +461,9 @@ impl Cluster {
         m: usize,
     ) {
         let spec = &self.layout.spec;
-        let topo = spec.topology;
-        assert!(k >= 1 && m >= 1, "EC needs k >= 1 data and m >= 1 parity shards");
-        assert!((0.0..=1.0).contains(&cold_fraction_target));
-        let per_gear = topo.servers_per_gear() * topo.bays;
-        assert!(
-            (k + m).div_ceil(topo.gears) <= per_gear,
-            "EC ({}+{}) shards do not fit {} gears of {} disks",
-            k,
-            m,
-            topo.gears,
-            per_gear
-        );
+        if let Err(e) = spec.validate_tiering(&params, cold_fraction_target, k, m) {
+            panic!("{e}");
+        }
         let n = spec.objects;
         self.tiering = Some(Box::new(Tiering {
             cold_fraction_target,

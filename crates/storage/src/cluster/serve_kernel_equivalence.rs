@@ -265,26 +265,39 @@ fn scenario_cluster(rng: &mut SmallRng) -> (Arc<ClusterLayout>, Option<(usize, u
 }
 
 /// A slot's requests: arrival-ordered, skewed toward a few hot objects so
-/// the cache and EC objects see repeats.
-fn random_batch(rng: &mut SmallRng, slot: u64, objects: u64, write_share: f64) -> RequestBatch {
+/// the cache and EC objects see repeats, with the odd size past 2³² B.
+/// Returned as plain rows for the per-request paths and as the compact
+/// batch `serve_batch` reads, so the gate also checks the batch decoding.
+fn random_batch(
+    rng: &mut SmallRng,
+    slot: u64,
+    objects: u64,
+    write_share: f64,
+) -> (Vec<IoRequest>, RequestBatch) {
     let n = rng.gen_range(0..250usize);
     let start = slot * 3_600_000_000;
     let mut arrivals: Vec<u64> =
         (0..n).map(|_| start + rng.gen_range(0..3_600_000_000u64)).collect();
     arrivals.sort_unstable();
-    arrivals
+    let rows: Vec<IoRequest> = arrivals
         .into_iter()
         .map(|t| {
             let object =
                 if rng.gen_bool(0.4) { rng.gen_range(0..8u64) } else { rng.gen_range(0..objects) };
-            let size = rng.gen_range(512..(4u64 << 20));
+            let size = if rng.gen_bool(0.01) {
+                rng.gen_range((1u64 << 32)..(1u64 << 34))
+            } else {
+                rng.gen_range(512..(4u64 << 20))
+            };
             if rng.gen_bool(write_share) {
                 IoRequest::write(SimTime(t), ObjectId(object), size)
             } else {
                 IoRequest::read(SimTime(t), ObjectId(object), size)
             }
         })
-        .collect()
+        .collect();
+    let batch = rows.iter().copied().collect();
+    (rows, batch)
 }
 
 fn snapshot_json(c: &Cluster) -> String {
@@ -330,7 +343,7 @@ proptest! {
                 .then(|| (rng.gen_range(0..n_disks), rng.gen_range(1..(1u64 << 32))));
             let max_migrations = rng.gen_range(0..40usize);
             let reclaim_budget = rng.gen_range(0..(256u64 << 20));
-            let requests = random_batch(&mut rng, slot, spec.objects as u64, write_share);
+            let (rows, batch) = random_batch(&mut rng, slot, spec.objects as u64, write_share);
             let resume = rng.gen_bool(0.25);
             let mut served: Vec<Vec<ServedRequest>> = vec![Vec::new(); 4];
             let mut hists: Vec<LogHistogram> =
@@ -363,10 +376,10 @@ proptest! {
                     *c = resumed;
                 }
                 match i {
-                    HIST => c.serve_batch(&requests, &mut hists[HIST]),
-                    1 => c.serve_batch_with(&requests, |s| served[1].push(s)),
-                    2 => served[2].extend(requests.iter().map(|req| c.serve_request(&req))),
-                    _ => served[ORACLE].extend(requests.iter().map(|req| c.oracle_serve(&req))),
+                    HIST => c.serve_batch(&batch, &mut hists[HIST]),
+                    1 => c.serve_batch_with(&batch, |s| served[1].push(s)),
+                    2 => served[2].extend(rows.iter().map(|req| c.serve_request(req))),
+                    _ => served[ORACLE].extend(rows.iter().map(|req| c.oracle_serve(req))),
                 }
                 if i != HIST {
                     for s in &served[i] {

@@ -35,6 +35,28 @@ pub struct EwmaParams {
     pub cold_rate: f64,
 }
 
+impl EwmaParams {
+    /// Check the classifier: `alpha ∈ (0, 1]` and finite thresholds with
+    /// `0 ≤ cold_rate < hot_rate` (the hysteresis band, whose geometric
+    /// mean seeds every object's rate).
+    pub fn validate(&self) -> Result<(), String> {
+        let EwmaParams { alpha, hot_rate, cold_rate } = *self;
+        if !(alpha > 0.0 && alpha <= 1.0) {
+            return Err(format!("ewma.alpha = {alpha}, expected a value in (0, 1]"));
+        }
+        if !(hot_rate.is_finite()
+            && cold_rate.is_finite()
+            && 0.0 <= cold_rate
+            && cold_rate < hot_rate)
+        {
+            return Err(format!(
+                "ewma: hysteresis needs finite 0 <= cold_rate ({cold_rate}) < hot_rate ({hot_rate})"
+            ));
+        }
+        Ok(())
+    }
+}
+
 impl Default for EwmaParams {
     fn default() -> Self {
         EwmaParams { alpha: 0.3, hot_rate: 2.0, cold_rate: 0.2 }
@@ -73,14 +95,13 @@ pub struct EwmaEstimator {
 impl EwmaEstimator {
     /// Estimator over `objects` objects, all starting mid-band (geometric
     /// mean of the thresholds) so slot 1 does not demote the whole fleet.
+    ///
+    /// # Panics
+    /// If [`EwmaParams::validate`] rejects `params`.
     pub fn new(params: EwmaParams, objects: usize) -> Self {
-        assert!(params.alpha > 0.0 && params.alpha <= 1.0, "alpha must be in (0,1]");
-        assert!(
-            params.cold_rate < params.hot_rate,
-            "hysteresis needs cold_rate ({}) < hot_rate ({})",
-            params.cold_rate,
-            params.hot_rate
-        );
+        if let Err(e) = params.validate() {
+            panic!("{e}");
+        }
         let mid = (params.hot_rate * params.cold_rate).sqrt();
         EwmaEstimator { params, rate: vec![mid; objects] }
     }

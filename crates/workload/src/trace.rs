@@ -137,7 +137,12 @@ impl WorkloadSpec {
                 unit(i.diurnal_amplitude),
                 "a value in [0, 1]",
             ),
-            ("interactive.objects", i.objects as f64, i.objects >= 1, "at least 1"),
+            (
+                "interactive.objects",
+                i.objects as f64,
+                (1..=u32::MAX as usize).contains(&i.objects),
+                "a count in [1, 2^32 - 1]",
+            ),
             ("batch.jobs", b.jobs as f64, b.jobs >= 1, "at least 1"),
             ("batch.mean_bytes", b.mean_bytes, finite_pos(b.mean_bytes), "a finite value > 0"),
             ("batch.size_cv", b.size_cv, finite_nonneg(b.size_cv), "a finite value >= 0"),
@@ -750,6 +755,34 @@ mod tests {
             w.interactive().synthesize_streams_into(clock, slot, &live, &mut rows);
             assert!(!rows.is_empty());
             assert_eq!(w.requests_in_slot(clock, slot), sorted_by_key(&rows), "slot {slot}");
+        }
+    }
+
+    #[test]
+    fn exactness_slot_batches_match_sorted_rows_at_every_width() {
+        let w = small();
+        for minutes in [15u64, 60, 240, 1440] {
+            let clock = SlotClock::new(gm_sim::SimDuration::from_mins(minutes));
+            for hour in [40u64, 100] {
+                let slot = (hour * 60 / minutes) as usize;
+                let mut live = Vec::new();
+                w.interactive().live_streams_in_slot(clock, slot, &mut live);
+                let mut rows = Vec::new();
+                w.interactive().synthesize_streams_into(clock, slot, &live, &mut rows);
+                let oracle = sorted_by_key(&rows);
+                let batch = w.slot_batch(clock, slot);
+                assert!(!oracle.is_empty(), "{minutes} min slot {slot}");
+                assert_eq!(batch.iter().collect::<Vec<_>>(), oracle, "{minutes} min slot {slot}");
+                for (i, r) in oracle.iter().enumerate().step_by(61) {
+                    assert_eq!(batch.request(i), *r, "{minutes} min slot {slot}, request {i}");
+                }
+                // Slots wider than 2^32 µs (71.6 min) always cross a
+                // high-word boundary of the arrival column.
+                let high = |r: &IoRequest| r.arrival.0 >> 32;
+                if minutes > 72 {
+                    assert!(high(&oracle[0]) < high(&oracle[oracle.len() - 1]));
+                }
+            }
         }
     }
 

@@ -24,8 +24,8 @@ cargo test -q --test snapshot
 echo "==> shard-invariance gate (10^5-stream workload kernel, release)"
 cargo test -q --release --test workload_kernel -- --ignored
 
-echo "==> sampler exactness gate (guide-table Zipf, hoisted lognormal, radix arrival order vs their old forms)"
-cargo test -q -p gm-sim -p gm-workload --lib exactness
+echo "==> sampler exactness gate (guide-table Zipf, hoisted lognormal, radix arrival order vs their old forms; compact batches vs plain rows)"
+cargo test -q -p gm-sim -p gm-workload -p gm-storage --lib exactness
 
 echo "==> cargo bench --bench e2e -- --test (smoke)"
 cargo bench -p gm-bench --bench e2e -- --test
