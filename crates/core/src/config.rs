@@ -652,6 +652,25 @@ impl ExperimentConfig {
         gm_sim::rng::splitmix64(&mut s)
     }
 
+    /// Check the cluster and tiering sections a build would otherwise trip
+    /// over with a panic: every site's cluster (`ClusterSpec::validate`)
+    /// and the tiering section against the home cluster it tiers
+    /// (`ClusterSpec::validate_tiering`).
+    pub fn validate_clusters(&self) -> Result<(), ConfigError> {
+        let invalid = |message: String| ConfigError::Invalid { message };
+        let sites = self.site_configs();
+        for site in &sites {
+            site.cluster.validate().map_err(|e| invalid(format!("site {}: {e}", site.name)))?;
+        }
+        if let Some(t) = &self.tiering {
+            sites[0]
+                .cluster
+                .validate_tiering(&t.ewma, t.cold_fraction_target, t.ec_k, t.ec_m)
+                .map_err(|e| invalid(format!("tiering: {e}")))?;
+        }
+        Ok(())
+    }
+
     /// Check the home-site mirror invariant: with explicit sites, the flat
     /// fields must equal `sites[0]` (guaranteed by [`Self::with_sites`];
     /// hand-built or deserialised configs are validated here).

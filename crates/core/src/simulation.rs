@@ -343,7 +343,8 @@ impl<'c, 's> SimulationBuilder<'c, 's> {
     }
 
     /// Build the simulation, reporting configuration problems (missing
-    /// trace files, zero-slot horizons, incompatible snapshots) as errors.
+    /// trace files, zero-slot horizons, bad cluster or tiering sections,
+    /// incompatible snapshots) as errors.
     pub fn build(self) -> Result<Simulation<'s>, ConfigError> {
         if self.cfg.slots == 0 {
             return Err(ConfigError::Invalid {
@@ -351,7 +352,10 @@ impl<'c, 's> SimulationBuilder<'c, 's> {
             });
         }
         let world = match self.world {
-            Some(world) => world,
+            Some(world) => {
+                self.cfg.validate_clusters()?;
+                world
+            }
             None => match self.cache {
                 Some(cache) => World::try_materialize_in(self.cfg, cache)?,
                 None => World::try_materialize(self.cfg)?,
