@@ -13,8 +13,9 @@
 //! propagation.
 //!
 //! Nesting is safe by the helping-submitter rule of the underlying pool: a
-//! sweep job that triggers sharded synthesis submits an inner batch and
-//! helps drain it inline. The inner shard tasks never touch the
+//! sweep job that synthesises a slot submits an inner batch of shard tasks
+//! (one slot early, see `Workload::begin_slot_batch`) and helps drain it
+//! when it joins. The inner shard tasks never touch the
 //! thread-local scratch (it is borrowed only for the duration of each
 //! outer job's closure body — by the time a nested batch is submitted the
 //! job owns its simulation's scratch through other means), so the

@@ -67,14 +67,7 @@ pub(crate) fn run(
     let now = ctx.now;
     let n_sites = sim.sites.len();
 
-    // The slot's interactive requests, enumerated through the advancing
-    // live-set cursor (O(live + newly started), independent of the stream
-    // population size) and memoised as a columnar batch. Byte-identical to
-    // the stateless `slot_batch` path.
-    let batch = {
-        let live = sim.live_cursor.advance_to(sim.workload.interactive(), ctx.clock, ctx.slot);
-        sim.workload.slot_batch_with_live(ctx.clock, ctx.slot, live)
-    };
+    let batch = slot_batch(sim, ctx);
 
     // Pass 1 — sequential shadow assignment in decision order.
     scratch.site_work.resize_with(n_sites, SiteWork::default);
@@ -214,6 +207,37 @@ fn serve_site(
         site.cluster.reclaim(reclaim, now);
     }
     site.executed_batch_bytes += executed;
+}
+
+/// The slot's interactive requests as a memoised columnar batch, with the
+/// next slot's synthesis begun on the pool before this one is gathered.
+///
+/// Slot t's batch was begun by slot t − 1's Execute (on a cold start it
+/// is begun here). Slot t + 1's is begun before slot t's is finished, so
+/// pool workers move straight from t's shards to t + 1's while this
+/// thread orders and gathers t's rows and then serves them. Live sets
+/// come from the advancing cursor (O(live + newly started), independent
+/// of the stream population size). A batch depends only on the world, the
+/// slot width, the slot and its live set, so this is byte-identical to
+/// the stateless `slot_batch` path.
+fn slot_batch(sim: &mut Simulation, ctx: &SlotContext) -> Arc<RequestBatch> {
+    let (clock, slot) = (ctx.clock, ctx.slot);
+    let current = match sim.next_batch.take() {
+        Some((begun, pending)) if begun == slot => Some(pending),
+        _ => {
+            let live = sim.live_cursor.advance_to(sim.workload.interactive(), clock, slot);
+            sim.workload.begin_slot_batch(clock, slot, live)
+        }
+    };
+    let next = slot + 1;
+    if next < sim.slots {
+        let live = sim.live_cursor.advance_to(sim.workload.interactive(), clock, next);
+        sim.next_batch = sim.workload.begin_slot_batch(clock, next, live).map(|p| (next, p));
+    }
+    match current {
+        Some(pending) => pending.finish(),
+        None => sim.workload.slot_batch(clock, slot),
+    }
 }
 
 /// Pass 2 for several sites: one [`WorkPool`] task per site owns its

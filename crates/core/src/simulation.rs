@@ -44,7 +44,7 @@ use gm_sim::time::{SimTime, SlotIdx};
 use gm_sim::{LogHistogram, SlotClock, TimeSeries};
 use gm_storage::{Cluster, FailureDice};
 use gm_workload::trace::Workload;
-use gm_workload::{BatchJob, EventFeed, JobId, LiveCursor};
+use gm_workload::{BatchJob, EventFeed, JobId, LiveCursor, PendingSlotBatch};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -424,6 +424,11 @@ pub struct Simulation<'s> {
     /// exact for any forward move, so a fresh cursor seeks to the resume
     /// slot by itself.
     pub(crate) live_cursor: LiveCursor,
+    /// The next slot's interactive batch, begun on the pool by this slot's
+    /// Execute and finished by the next one's. Derived state like the
+    /// cursor, never snapshotted: `restore_overlay` clears it, and a cold
+    /// Execute begins its own slot's batch.
+    pub(crate) next_batch: Option<(usize, PendingSlotBatch)>,
     pub(crate) batch_report: BatchReport,
 
     pub(crate) positioning_s: f64,
@@ -564,6 +569,7 @@ impl<'s> Simulation<'s> {
             job_index: HashMap::new(),
             active_jobs: Vec::new(),
             live_cursor: LiveCursor::new(),
+            next_batch: None,
             batch_report: BatchReport::default(),
             positioning_s,
             secs_per_byte,
@@ -756,6 +762,7 @@ impl<'s> Simulation<'s> {
         // Belt and braces: the live cursor seeks correctly from any prior
         // state, but a resumed run should start from the canonical one.
         self.live_cursor = LiveCursor::new();
+        self.next_batch = None;
         self.batch_report = snap.batch_report.clone();
         self.hist = snap.hist.clone();
         self.repair_jobs = snap.repair_jobs.iter().map(|&(id, disk)| (JobId(id), disk)).collect();

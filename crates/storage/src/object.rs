@@ -112,7 +112,10 @@ mod tests {
         assert_eq!(o.size_bytes, 1 << 20);
     }
 
+    /// The check is a `debug_assert!`, so an optimised build has nothing
+    /// to test.
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "duplicate replica disks")]
     fn duplicate_replicas_panic_in_debug() {
         let _ = DataObject::new(ObjectId(1), 1, vec![2, 5, 2]);

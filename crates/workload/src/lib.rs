@@ -39,4 +39,4 @@ pub use gm_storage::RequestBatch;
 pub use interactive::{InteractiveError, InteractiveSpec, InteractiveStream, LiveCursor};
 pub use job::{BatchJob, BatchKind, JobId, JobState};
 pub use stats::{characterize, WorkloadStats};
-pub use trace::{Workload, WorkloadError, WorkloadSpec};
+pub use trace::{PendingSlotBatch, Workload, WorkloadError, WorkloadSpec};

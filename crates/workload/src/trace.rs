@@ -12,7 +12,7 @@
 use crate::batch::{BatchGenerator, BatchSpec};
 use crate::interactive::{InteractiveError, InteractiveGenerator, InteractiveSpec};
 use crate::job::{BatchJob, BatchKind, JobId, JobState};
-use gm_sim::pool::Task;
+use gm_sim::pool::{Pending, Task};
 use gm_sim::time::SimTime;
 use gm_sim::{RngFactory, SlotClock, WorkPool};
 use gm_storage::{IoRequest, RequestBatch};
@@ -156,10 +156,11 @@ impl WorkloadSpec {
     }
 }
 
-/// Live-set size below which sharded synthesis is not worth the fan-out
-/// overhead (task boxing + result stitching).
+/// Live-set size below which a slot is synthesised as one shard: the
+/// fan-out overhead (task boxing + result stitching) outweighs the split.
 const SHARD_THRESHOLD: usize = 8_192;
-/// Minimum number of live streams per shard once sharding kicks in.
+/// Live streams per shard above the threshold. Fixed, so the shard count
+/// depends on the live-set size only, never on the pool width.
 const STREAMS_PER_SHARD: usize = 2_048;
 
 /// A generated workload.
@@ -170,16 +171,68 @@ pub struct Workload {
     interactive: Arc<InteractiveGenerator>,
     batch_jobs: Vec<BatchJob>,
     /// Memoised columnar slot batches, keyed by `(slot width, slot)` —
-    /// the two inputs of request synthesis beyond the workload itself.
-    /// Shared-world sweeps therefore synthesise each slot's requests once
-    /// across all runs. The per-key `OnceLock` keeps concurrent misses
-    /// single-build without holding the map lock while synthesising.
+    /// the two inputs of request synthesis beyond the workload itself, so
+    /// shared-world sweeps synthesise each slot's requests once.
     slot_batches: Mutex<HashMap<(u64, usize), SlotBatchCell>>,
 }
 
-/// One memo slot: `Arc` so the map lock can be dropped while a miss
-/// synthesises into the `OnceLock`.
+/// One memo slot, `Arc` so a batch is filled without the map lock.
 type SlotBatchCell = Arc<OnceLock<Arc<RequestBatch>>>;
+
+/// One slot's batch in flight on the [`WorkPool`]. Dropped unfinished, it
+/// discards the shards no thread has started, waits for the others and
+/// leaves the memo untouched.
+#[must_use = "an unfinished slot batch is discarded"]
+pub struct PendingSlotBatch {
+    cell: SlotBatchCell,
+    shards: ShardRows,
+}
+
+impl PendingSlotBatch {
+    /// Join the shards (running any still queued on this thread), then
+    /// order, gather and memoise the batch. If another caller filled the
+    /// memo first, its identical batch is returned instead.
+    pub fn finish(self) -> Arc<RequestBatch> {
+        let PendingSlotBatch { cell, shards } = self;
+        Arc::clone(cell.get_or_init(|| {
+            let (order, rows) = shards.join();
+            Arc::new(RequestBatch::gather(&rows, &order))
+        }))
+    }
+}
+
+/// Pool tasks synthesising one slot's rows, one buffer per shard.
+///
+/// **Shard-invariant by construction**: each stream's requests come from
+/// its own `(stream, slot)`-keyed RNG, shards cover disjoint contiguous
+/// ranges of the ascending live list, and results are stitched by shard
+/// index, so the rows are the same for every shard count and thread count
+/// (a property test pins this).
+struct ShardRows {
+    parts: Arc<[Mutex<Vec<IoRequest>>]>,
+    pending: Pending<'static>,
+}
+
+impl ShardRows {
+    /// The permutation [`arrival_order`] that puts the rows in slot order
+    /// (ties keep stream order), and the rows in stream order: the first
+    /// shard's buffer, grown once to the total, then each other shard's
+    /// appended and freed.
+    fn join(self) -> (Vec<u32>, Vec<IoRequest>) {
+        self.pending.join();
+        let mut parts = self.parts.iter().map(|p| std::mem::take(&mut *p.lock().expect("shard")));
+        let mut rows = parts.next().unwrap_or_default();
+        rows.reserve_exact(self.parts.iter().map(|p| p.lock().expect("shard").len()).sum());
+        parts.for_each(|part| rows.extend_from_slice(&part));
+        (arrival_order(&rows), rows)
+    }
+
+    /// [`Self::join`] gathered into a `Vec` in slot order.
+    fn join_ordered(self) -> Vec<IoRequest> {
+        let (order, rows) = self.join();
+        order.iter().map(|&i| rows[i as usize]).collect()
+    }
+}
 
 impl Workload {
     /// Build from a spec and master seed, panicking where
@@ -220,77 +273,47 @@ impl Workload {
         &self.batch_jobs
     }
 
-    /// Shard count for a live set of `live` streams: 1 below the
-    /// threshold, else one shard per [`STREAMS_PER_SHARD`] streams capped
-    /// by the pool width.
-    fn auto_shards(live: usize) -> usize {
-        if live < SHARD_THRESHOLD {
-            1
-        } else {
-            WorkPool::global().width().min(live / STREAMS_PER_SHARD).max(1)
-        }
+    /// The stateless live set of `slot` (ascending stream indices).
+    fn live_streams(&self, clock: SlotClock, slot: usize) -> Vec<u32> {
+        let mut live = Vec::new();
+        self.interactive.live_streams_in_slot(clock, slot, &mut live);
+        live
     }
 
-    /// Synthesise the requests of the given live streams, fanned across
-    /// `shards` pool tasks: the rows in stream order, plus the permutation
-    /// that puts them in canonical slot order.
-    ///
-    /// **Shard-invariant by construction**: each stream's requests come
-    /// from its own `(stream, slot)`-keyed RNG, shards cover disjoint
-    /// contiguous ranges of the ascending live list, and results are
-    /// stitched by shard index, so the rows are the same for every
-    /// `shards` value and thread count (a property test pins this).
-    /// [`arrival_order`] ranks them by arrival, stably (ties keep stream
-    /// order); callers gather once through it, into a `Vec<IoRequest>` or
-    /// straight into the columns of a [`RequestBatch`].
-    fn synthesize_live(
+    /// Queue the synthesis of the `live` streams' requests in `slot` as
+    /// pool tasks over contiguous ranges of one shared copy of the live
+    /// list: `shards` of them, or by default one per [`STREAMS_PER_SHARD`]
+    /// streams from [`SHARD_THRESHOLD`] up.
+    fn submit_shards(
         &self,
         clock: SlotClock,
         slot: usize,
         live: &[u32],
-        shards: usize,
-    ) -> (Vec<IoRequest>, Vec<u32>) {
-        let shards = shards.clamp(1, live.len().max(1));
-        let mut rows = Vec::new();
-        if shards == 1 {
-            self.interactive.synthesize_streams_into(clock, slot, live, &mut rows);
-        } else {
-            let chunk = live.len().div_ceil(shards);
-            let cells: Arc<Vec<Mutex<Vec<IoRequest>>>> =
-                Arc::new((0..shards).map(|_| Mutex::new(Vec::new())).collect());
-            let tasks: Vec<Task> = live
-                .chunks(chunk)
-                .enumerate()
-                .map(|(k, part)| {
-                    let generator = Arc::clone(&self.interactive);
-                    let cells = Arc::clone(&cells);
-                    let part = part.to_vec();
-                    Box::new(move || {
-                        let mut buf = Vec::new();
-                        generator.synthesize_streams_into(clock, slot, &part, &mut buf);
-                        *cells[k].lock().expect("shard cell") = buf;
-                    }) as Task
-                })
-                .collect();
-            WorkPool::global().scatter(tasks);
-            for cell in cells.iter() {
-                rows.append(&mut cell.lock().expect("shard cell"));
-            }
-        }
-        let order = arrival_order(&rows);
-        (rows, order)
-    }
-
-    /// [`Self::synthesize_live`] gathered into a `Vec` in slot order.
-    fn synthesize_live_rows(
-        &self,
-        clock: SlotClock,
-        slot: usize,
-        live: &[u32],
-        shards: usize,
-    ) -> Vec<IoRequest> {
-        let (rows, order) = self.synthesize_live(clock, slot, live, shards);
-        order.iter().map(|&i| rows[i as usize]).collect()
+        shards: Option<usize>,
+    ) -> ShardRows {
+        let live: Arc<[u32]> = live.into();
+        let chunk = match shards {
+            Some(n) => live.len().div_ceil(n.max(1)),
+            None if live.len() < SHARD_THRESHOLD => live.len(),
+            None => STREAMS_PER_SHARD,
+        };
+        let n = live.len().div_ceil(chunk.max(1));
+        // Allocated on this thread so that workers grow them in its malloc
+        // arena; arenas of their own kept ~9 MB more resident (mega-service).
+        let parts: Arc<[Mutex<Vec<IoRequest>>]> =
+            (0..n).map(|_| Mutex::new(Vec::with_capacity(chunk))).collect();
+        let tasks: Vec<Task> = (0..n)
+            .map(|k| {
+                let generator = Arc::clone(&self.interactive);
+                let (live, parts) = (Arc::clone(&live), Arc::clone(&parts));
+                Box::new(move || {
+                    let streams = &live[k * chunk..((k + 1) * chunk).min(live.len())];
+                    let mut rows = parts[k].lock().expect("shard rows");
+                    generator.synthesize_streams_into(clock, slot, streams, &mut rows);
+                }) as Task
+            })
+            .collect();
+        ShardRows { parts, pending: WorkPool::global().submit(tasks) }
     }
 
     /// Synthesise one slot's requests with an explicit shard count —
@@ -302,78 +325,55 @@ impl Workload {
         slot: usize,
         shards: usize,
     ) -> Vec<IoRequest> {
-        let mut live = Vec::new();
-        self.interactive.live_streams_in_slot(clock, slot, &mut live);
-        self.synthesize_live_rows(clock, slot, &live, shards)
+        let live = self.live_streams(clock, slot);
+        self.submit_shards(clock, slot, &live, Some(shards)).join_ordered()
     }
 
-    /// Requests of one slot (stateless live query + auto-sharded
-    /// synthesis).
+    /// Requests of one slot (stateless live query + sharded synthesis).
     pub fn requests_in_slot(&self, clock: SlotClock, slot: usize) -> Vec<IoRequest> {
-        let mut live = Vec::new();
-        self.interactive.live_streams_in_slot(clock, slot, &mut live);
-        self.synthesize_live_rows(clock, slot, &live, Self::auto_shards(live.len()))
+        let live = self.live_streams(clock, slot);
+        self.submit_shards(clock, slot, &live, None).join_ordered()
+    }
+
+    /// The memo cell of `(clock width, slot)`.
+    fn memo_cell(&self, clock: SlotClock, slot: usize) -> SlotBatchCell {
+        let mut map = self.slot_batches.lock().expect("slot batch lock");
+        Arc::clone(map.entry((clock.width().0, slot)).or_default())
+    }
+
+    /// Begin synthesising the slot's memoised batch on the pool and return
+    /// at once, or `None` if it is already memoised. `live` is the slot's
+    /// live set from the caller's advancing
+    /// [`crate::interactive::LiveCursor`] and must equal the stateless set
+    /// (debug-asserted). [`PendingSlotBatch::finish`] completes the batch.
+    pub fn begin_slot_batch(
+        &self,
+        clock: SlotClock,
+        slot: usize,
+        live: &[u32],
+    ) -> Option<PendingSlotBatch> {
+        let cell = self.memo_cell(clock, slot);
+        if cell.get().is_some() {
+            return None;
+        }
+        debug_assert_eq!(live, self.live_streams(clock, slot), "cursor live set diverged ({slot})");
+        let shards = self.submit_shards(clock, slot, live, None);
+        Some(PendingSlotBatch { cell, shards })
     }
 
     /// The slot's requests as a memoised columnar [`RequestBatch`] — the
     /// form the simulation hot loop uses.
     ///
     /// The batch holds the identical requests in the identical order as
-    /// [`Self::requests_in_slot`]; it is synthesised at most once per
-    /// `(clock width, slot)` for the life of this workload and shared as
-    /// an `Arc` thereafter, so runs over a cached shared world skip
-    /// re-synthesis entirely.
+    /// [`Self::requests_in_slot`]; once built, it is shared as an `Arc`
+    /// for the life of this workload, so runs over a cached shared world
+    /// skip re-synthesis entirely.
     pub fn slot_batch(&self, clock: SlotClock, slot: usize) -> Arc<RequestBatch> {
-        self.slot_batch_inner(clock, slot, None)
-    }
-
-    /// [`Self::slot_batch`] for callers that already know the slot's live
-    /// stream set (the simulation's advancing [`crate::interactive::LiveCursor`]) —
-    /// skips the stateless live query on a memo miss. `live` must equal
-    /// the stateless set (debug-asserted); the returned batch is
-    /// byte-identical to [`Self::slot_batch`]'s.
-    pub fn slot_batch_with_live(
-        &self,
-        clock: SlotClock,
-        slot: usize,
-        live: &[u32],
-    ) -> Arc<RequestBatch> {
-        self.slot_batch_inner(clock, slot, Some(live))
-    }
-
-    fn slot_batch_inner(
-        &self,
-        clock: SlotClock,
-        slot: usize,
-        live: Option<&[u32]>,
-    ) -> Arc<RequestBatch> {
-        let key = (clock.width().0, slot);
-        let cell = {
-            let mut map = self.slot_batches.lock().expect("slot batch lock");
-            map.entry(key).or_insert_with(|| Arc::new(OnceLock::new())).clone()
-        };
-        cell.get_or_init(|| {
-            let mut fallback = Vec::new();
-            let live = match live {
-                Some(l) => {
-                    #[cfg(debug_assertions)]
-                    {
-                        let mut check = Vec::new();
-                        self.interactive.live_streams_in_slot(clock, slot, &mut check);
-                        debug_assert_eq!(l, &check[..], "cursor live set diverged (slot {slot})");
-                    }
-                    l
-                }
-                None => {
-                    self.interactive.live_streams_in_slot(clock, slot, &mut fallback);
-                    &fallback
-                }
-            };
-            let (rows, order) =
-                self.synthesize_live(clock, slot, live, Self::auto_shards(live.len()));
-            Arc::new(RequestBatch::gather(&rows, &order))
-        })
-        .clone()
+        if let Some(batch) = self.memo_cell(clock, slot).get() {
+            return Arc::clone(batch);
+        }
+        let begun = self.begin_slot_batch(clock, slot, &self.live_streams(clock, slot));
+        begun.map_or_else(|| self.slot_batch(clock, slot), PendingSlotBatch::finish)
     }
 
     /// Batch jobs submitted within slot `slot`.
@@ -668,21 +668,62 @@ mod tests {
     }
 
     #[test]
-    fn slot_batch_with_live_matches_plain_batch() {
+    fn begun_batches_from_a_cursor_match_plain_batches() {
         let a = small();
         let b = small();
         let c = SlotClock::hourly();
         let mut cursor = crate::interactive::LiveCursor::new();
         for slot in 0..60 {
-            let live = cursor.advance_to(a.interactive(), c, slot).to_vec();
-            let via_cursor = a.slot_batch_with_live(c, slot, &live);
+            let live = cursor.advance_to(a.interactive(), c, slot);
+            let via_cursor = a.begin_slot_batch(c, slot, live).expect("cold slot").finish();
             let plain = b.slot_batch(c, slot);
             assert_eq!(
                 via_cursor.iter().collect::<Vec<_>>(),
                 plain.iter().collect::<Vec<_>>(),
                 "slot {slot}"
             );
+            assert!(a.begin_slot_batch(c, slot, live).is_none(), "slot {slot} is memoised");
+            assert!(Arc::ptr_eq(&via_cursor, &a.slot_batch(c, slot)));
         }
+    }
+
+    /// A small week re-spread over 20 000 two-week sessions: enough live
+    /// streams late in the week that automatic sharding splits the slot.
+    fn sharded() -> Workload {
+        let mut spec = WorkloadSpec::small_week(1_000).with_interactive_streams(20_000);
+        spec.interactive.mean_lifetime = gm_sim::SimDuration::from_days(14);
+        Workload::generate(spec, 5)
+    }
+
+    #[test]
+    fn begin_finish_matches_one_shard_synthesis_at_any_shard_count() {
+        let w = sharded();
+        let c = SlotClock::hourly();
+        let mut seen = Vec::new();
+        for slot in [0usize, 40, 100] {
+            let live = w.live_streams(c, slot);
+            seen.push(live.len() >= SHARD_THRESHOLD);
+            let batch = w.begin_slot_batch(c, slot, &live).expect("cold slot").finish();
+            let one = w.synthesize_slot_requests(c, slot, 1);
+            assert!(!one.is_empty(), "slot {slot}");
+            assert_eq!(batch.iter().collect::<Vec<_>>(), one, "slot {slot}");
+        }
+        assert_eq!(seen, [false, false, true], "one-shard and many-shard slots");
+    }
+
+    #[test]
+    fn dropped_pending_batch_leaves_the_memo_empty() {
+        let w = sharded();
+        let c = SlotClock::hourly();
+        let slot = 100;
+        let live = w.live_streams(c, slot);
+        assert!(live.len() >= SHARD_THRESHOLD, "{} live streams", live.len());
+        drop(w.begin_slot_batch(c, slot, &live).expect("cold slot"));
+        assert!(w.memo_cell(c, slot).get().is_none(), "nothing memoised");
+        let again = w.begin_slot_batch(c, slot, &live).expect("still cold");
+        drop(again);
+        let batch = w.slot_batch(c, slot);
+        assert_eq!(batch.iter().collect::<Vec<_>>(), w.synthesize_slot_requests(c, slot, 1));
     }
 
     /// Requests with the given arrivals; the object id records the input

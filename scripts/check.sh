@@ -27,6 +27,9 @@ cargo test -q --release --test workload_kernel -- --ignored
 echo "==> sampler exactness gate (guide-table Zipf, hoisted lognormal, radix arrival order vs their old forms; compact batches vs plain rows)"
 cargo test -q -p gm-sim -p gm-workload -p gm-storage --lib exactness
 
+echo "==> release lib tests (pool and pipelined synthesis, optimised interleavings)"
+cargo test -q --release -p gm-sim -p gm-workload -p gm-storage --lib
+
 echo "==> cargo bench --bench e2e -- --test (smoke)"
 cargo bench -p gm-bench --bench e2e -- --test
 
