@@ -5,9 +5,9 @@
 //! byte-stable for a fixed seed. These tests pin that contract:
 //!
 //! * committed golden files (`tests/golden/*.jsonl`) for the `small_demo`
-//!   preset under GreenMatch, its carbon-aware and windowed variants, and
-//!   a two-site WAN-priced GreenMatch run, and a 4 h-slot `small_demo`
-//!   week — regenerate with
+//!   preset under GreenMatch, its carbon-aware and windowed variants, a
+//!   two-site WAN-priced GreenMatch run, a three-site run with failures
+//!   and admission, and a 4 h-slot `small_demo` week — regenerate with
 //!   `GM_UPDATE_GOLDEN=1 cargo test --test telemetry golden`;
 //! * same-seed runs must produce byte-identical traces;
 //! * every record must conserve energy on both sides of the meter;
@@ -70,6 +70,32 @@ fn two_site_cfg() -> ExperimentConfig {
     base.with_sites(sites).with_wan_cost(200)
 }
 
+/// Three sites eight hours apart under a 200-per-unit WAN, with failure
+/// injection (repair jobs) and the admission gate on: pins the bytes of
+/// cross-site placement, remote gearing and remote execution together.
+fn three_site_cfg() -> ExperimentConfig {
+    use greenmatch::config::AdmissionConfig;
+    use greenmatch::policy::PolicyKind;
+
+    let base = ExperimentConfig::small_demo(42)
+        .with_slots(72)
+        .with_policy(PolicyKind::GreenMatch { delay_fraction: 1.0 })
+        .with_failures(gm_storage::FailureSpec {
+            afr: 20.0,
+            standby_factor: 0.5,
+            spinup_wear_hours: 10.0,
+        })
+        .with_admission(AdmissionConfig { alpha: 0.8, defer_slots: 3 });
+    let mut sites = base.site_configs();
+    for (name, offset) in [("mid", 8), ("far", 16)] {
+        let mut site = sites[0].clone();
+        site.name = name.into();
+        site.utc_offset_hours = offset;
+        sites.push(site);
+    }
+    base.with_sites(sites).with_wan_cost(200)
+}
+
 /// The behaviour contract: each config's trace, pinned to committed bytes.
 ///
 /// The carbon-aware and windowed variants run a winter week, where scarce
@@ -91,6 +117,7 @@ fn golden_cases() -> Vec<(&'static str, ExperimentConfig)> {
     vec![
         ("tests/golden/small_demo_trace.jsonl", ExperimentConfig::small_demo(42)),
         ("tests/golden/two_site_wan200_trace.jsonl", two_site_cfg()),
+        ("tests/golden/three_site_failures_admission_trace.jsonl", three_site_cfg()),
         (
             "tests/golden/winter_carbon_trace.jsonl",
             winter.clone().with_policy(PolicyKind::GreenMatchCarbon { delay_fraction: 1.0 }),
