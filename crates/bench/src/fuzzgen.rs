@@ -311,7 +311,7 @@ mod tests {
         for case in 0..64 {
             let mut rng = TestRng::for_case("fuzzgen-cover", case);
             let cfg = fuzz_config(&mut rng);
-            cfg.validate_sites().expect("generated configs are coherent");
+            cfg.validate().expect("generated configs are coherent");
             multi += (cfg.n_sites() > 1) as u32;
             with_battery += cfg.energy.battery.is_some() as u32;
             with_failures += cfg.failures.is_some() as u32;

@@ -652,12 +652,37 @@ impl ExperimentConfig {
         gm_sim::rng::splitmix64(&mut s)
     }
 
-    /// Check the cluster and tiering sections a build would otherwise trip
-    /// over with a panic: every site's cluster (`ClusterSpec::validate`)
-    /// and the tiering section against the home cluster it tiers
-    /// (`ClusterSpec::validate_tiering`).
-    pub fn validate_clusters(&self) -> Result<(), ConfigError> {
+    /// Check everything a build would otherwise trip over with a panic or
+    /// silently misread, before anything builds. Both build paths run it
+    /// (materialising a world, and stepping over a supplied one):
+    ///
+    /// * the home-site mirror: with explicit sites, the flat fields must
+    ///   equal `sites[0]` (guaranteed by [`Self::with_sites`]; hand-built
+    ///   or deserialised configs are checked here), and the home site has
+    ///   `utc_offset_hours = 0`;
+    /// * every site's cluster (`ClusterSpec::validate`), and the tiering
+    ///   section against the home cluster it tiers
+    ///   (`ClusterSpec::validate_tiering`);
+    /// * the admission gate's confidence level `alpha`, which must be a
+    ///   finite value in `[0.5, 1)`.
+    pub fn validate(&self) -> Result<(), ConfigError> {
         let invalid = |message: String| ConfigError::Invalid { message };
+        if let Some(home) = self.sites.first() {
+            if home.cluster != self.cluster
+                || home.source != self.energy.source
+                || home.forecast != self.energy.forecast
+                || home.battery != self.energy.battery
+            {
+                return Err(invalid(
+                    "sites[0] must mirror the flat cluster/energy fields \
+                     (build multi-site configs with with_sites)"
+                        .to_string(),
+                ));
+            }
+            if home.utc_offset_hours != 0 {
+                return Err(invalid("the home site must have utc_offset_hours = 0".to_string()));
+            }
+        }
         let sites = self.site_configs();
         for site in &sites {
             site.cluster.validate().map_err(|e| invalid(format!("site {}: {e}", site.name)))?;
@@ -668,29 +693,13 @@ impl ExperimentConfig {
                 .validate_tiering(&t.ewma, t.cold_fraction_target, t.ec_k, t.ec_m)
                 .map_err(|e| invalid(format!("tiering: {e}")))?;
         }
-        Ok(())
-    }
-
-    /// Check the home-site mirror invariant: with explicit sites, the flat
-    /// fields must equal `sites[0]` (guaranteed by [`Self::with_sites`];
-    /// hand-built or deserialised configs are validated here).
-    pub fn validate_sites(&self) -> Result<(), ConfigError> {
-        let Some(home) = self.sites.first() else { return Ok(()) };
-        if home.cluster != self.cluster
-            || home.source != self.energy.source
-            || home.forecast != self.energy.forecast
-            || home.battery != self.energy.battery
-        {
-            return Err(ConfigError::Invalid {
-                message: "sites[0] must mirror the flat cluster/energy fields \
-                          (build multi-site configs with with_sites)"
-                    .to_string(),
-            });
-        }
-        if home.utc_offset_hours != 0 {
-            return Err(ConfigError::Invalid {
-                message: "the home site must have utc_offset_hours = 0".to_string(),
-            });
+        if let Some(gate) = &self.admission {
+            if !(0.5..1.0).contains(&gate.alpha) {
+                return Err(invalid(format!(
+                    "admission: alpha = {} must be a confidence level in [0.5, 1)",
+                    gate.alpha
+                )));
+            }
         }
         Ok(())
     }

@@ -17,24 +17,16 @@ pub(crate) fn run(sim: &mut Simulation, ctx: &SlotContext, decision: &Decision) 
     home.cluster.set_active_gears(gears, ctx.now);
     home.gears_series.push(gears);
 
-    if sim.sites.len() > 1 {
-        let slot_secs = ctx.width.as_secs_f64();
-        for (i, site) in sim.sites.iter_mut().enumerate().skip(1) {
-            let placed: u64 = decision
-                .remote_batch_bytes
-                .iter()
-                .filter(|(s, _, _)| *s == i)
-                .map(|(_, _, b)| b)
-                .sum();
-            let mut g = 1;
-            while g < site.model.gears
-                && site.model.batch_capacity_bytes(g, 0.0, slot_secs) < placed
-            {
-                g += 1;
-            }
-            site.cluster.set_active_gears(g, ctx.now);
-            site.gears_series.push(g);
+    let slot_secs = ctx.width.as_secs_f64();
+    for (i, site) in sim.sites.iter_mut().enumerate().skip(1) {
+        let placed: u64 =
+            decision.remote_batch_bytes.iter().filter(|(s, _, _)| *s == i).map(|(_, _, b)| b).sum();
+        let mut g = 1;
+        while g < site.model.gears && site.model.batch_capacity_bytes(g, 0.0, slot_secs) < placed {
+            g += 1;
         }
+        site.cluster.set_active_gears(g, ctx.now);
+        site.gears_series.push(g);
     }
     gears
 }

@@ -31,11 +31,7 @@ pub(crate) fn run(sim: &mut Simulation, ctx: &SlotContext, scratch: &SlotScratch
             .enumerate()
             .map(|(i, site)| SiteView {
                 site: i,
-                green_forecast_wh: if i == 0 {
-                    &scratch.green_forecast_wh
-                } else {
-                    &scratch.remote_green_forecast_wh[i - 1]
-                },
+                green_forecast_wh: &scratch.green_forecast_wh[i],
                 model: site.model,
                 wan_cost_per_unit: if i == 0 { 0 } else { sim.cfg.wan_cost_per_unit },
                 battery: battery_view(site, ctx),
@@ -49,7 +45,7 @@ pub(crate) fn run(sim: &mut Simulation, ctx: &SlotContext, scratch: &SlotScratch
         slot: ctx.slot,
         now: ctx.now,
         clock: ctx.clock,
-        green_forecast_wh: &scratch.green_forecast_wh,
+        green_forecast_wh: &scratch.green_forecast_wh[0],
         interactive_busy_secs: &scratch.interactive_busy_secs,
         jobs: &scratch.jobs,
         battery,

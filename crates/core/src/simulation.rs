@@ -343,8 +343,10 @@ impl<'c, 's> SimulationBuilder<'c, 's> {
     }
 
     /// Build the simulation, reporting configuration problems (missing
-    /// trace files, zero-slot horizons, bad cluster or tiering sections,
-    /// incompatible snapshots) as errors.
+    /// trace files, zero-slot horizons, anything
+    /// [`ExperimentConfig::validate`] rejects, incompatible snapshots) as
+    /// errors. A caller-supplied world is checked against the same
+    /// [`ExperimentConfig::validate`].
     pub fn build(self) -> Result<Simulation<'s>, ConfigError> {
         if self.cfg.slots == 0 {
             return Err(ConfigError::Invalid {
@@ -353,7 +355,7 @@ impl<'c, 's> SimulationBuilder<'c, 's> {
         }
         let world = match self.world {
             Some(world) => {
-                self.cfg.validate_clusters()?;
+                self.cfg.validate()?;
                 world
             }
             None => match self.cache {
@@ -829,7 +831,7 @@ impl<'s> Simulation<'s> {
         // Migration jobs execute through the generic batch path; their
         // slot share is the drop in their remaining work across execute.
         let migration_remaining_before = self.migration_remaining_bytes();
-        let executed_batch_bytes = phases::execute::run(self, &ctx, scratch, &decision, gears);
+        let executed_batch_bytes = phases::execute::run(self, &ctx, scratch, &decision);
         let migrated_bytes = migration_remaining_before - self.migration_remaining_bytes();
         let t = self.emit_phase(s, Phase::Execute, t);
         let settled = phases::settle::run(self, &ctx);

@@ -222,8 +222,8 @@ impl WorldCache {
     /// Materialise `cfg`'s world, reusing every component already built
     /// under the same key.
     ///
-    /// The sites, cluster, tiering and workload sections are checked
-    /// before anything builds. Components build in the order layouts,
+    /// The config ([`ExperimentConfig::validate`]) and its workload section
+    /// are checked before anything builds. Components build in the order layouts,
     /// workload, traces, so a missing trace file surfaces only after the
     /// cluster and workload build.
     ///
@@ -231,8 +231,7 @@ impl WorldCache {
     /// a file is fallible and the file may change between runs); all
     /// synthetic sources are infallible and cache cleanly.
     pub fn get_or_materialize(&self, cfg: &ExperimentConfig) -> Result<World, ConfigError> {
-        cfg.validate_sites()?;
-        cfg.validate_clusters()?;
+        cfg.validate()?;
         let site_cfgs = cfg.site_configs();
         let invalid = |message: String| ConfigError::Invalid { message };
         cfg.workload.validate().map_err(|e| invalid(e.to_string()))?;
@@ -458,5 +457,51 @@ mod tests {
         bad.tiering.as_mut().expect("tiering on").ewma.alpha = 0.0;
         let built = Simulation::builder(&bad).world(world).build();
         assert!(matches!(built, Err(ConfigError::Invalid { .. })), "supplied world");
+    }
+
+    /// Build `cfg` over a freshly materialised world and through the
+    /// cache, expecting both to fail with a message containing `expected`.
+    fn assert_rejected_on_both_paths(cfg: &ExperimentConfig, world: World, expected: &str) {
+        use crate::simulation::Simulation;
+        let cache = WorldCache::new();
+        let built = [
+            ("materialised", Simulation::builder(cfg).cache(&cache).build()),
+            ("supplied world", Simulation::builder(cfg).world(world).build()),
+        ];
+        for (path, built) in built {
+            match built {
+                Err(ConfigError::Invalid { message }) => {
+                    assert!(message.contains(expected), "{path}: {message}")
+                }
+                Err(other) => panic!("{path}: expected ConfigError::Invalid, got {other:?}"),
+                Ok(_) => panic!("{path}: expected ConfigError::Invalid, got a simulation"),
+            }
+        }
+        assert_eq!((cache.hits(), cache.misses()), (0, 0), "rejected before any build");
+    }
+
+    #[test]
+    fn a_broken_home_mirror_is_rejected_over_a_supplied_world() {
+        let sound = ExperimentConfig::small_demo(1).with_slots(4);
+        let world = World::try_materialize(&sound).expect("sound config");
+        // Explicit sites, then the flat battery dropped: sites[0] still
+        // carries the 10 kWh battery the run would silently use.
+        let bad = sound.clone().with_sites(sound.site_configs()).with_battery(None);
+        assert_rejected_on_both_paths(&bad, world, "sites[0] must mirror");
+    }
+
+    #[test]
+    fn admission_alpha_outside_its_range_is_a_typed_error() {
+        use crate::config::AdmissionConfig;
+        let sound = ExperimentConfig::small_demo(1).with_slots(4);
+        for alpha in [1.5, 1.0, 0.49, -0.9, f64::NAN, f64::INFINITY] {
+            let world = World::try_materialize(&sound).expect("sound config");
+            let bad = sound.clone().with_admission(AdmissionConfig { alpha, defer_slots: 2 });
+            assert_rejected_on_both_paths(&bad, world, "admission: alpha");
+        }
+        for alpha in [0.5, 0.9, 0.999] {
+            let cfg = sound.clone().with_admission(AdmissionConfig { alpha, defer_slots: 2 });
+            cfg.validate().unwrap_or_else(|e| panic!("alpha {alpha}: {e}"));
+        }
     }
 }
