@@ -3,8 +3,8 @@
 //! Historically each sweep spun up its own `std::thread::scope`, ran to a
 //! barrier and tore the threads down again; a first-generation `JobPool`
 //! replaced that with dedicated sweep workers. Now that the simulation
-//! kernel itself fans work out (sharded request synthesis, per-site phase
-//! execution), sweeps and kernel shards must share **one** set of threads
+//! kernel itself fans work out (sharded request synthesis), sweeps and
+//! kernel shards must share **one** set of threads
 //! — otherwise a machine-wide sweep and the shards it spawns would
 //! oversubscribe every core. [`JobPool`] is therefore a thin facade over
 //! the process-wide [`gm_sim::WorkPool`]: it contributes the one thing the
