@@ -7,7 +7,8 @@
 //! * committed golden files (`tests/golden/*.jsonl`) for the `small_demo`
 //!   preset under GreenMatch, its carbon-aware and windowed variants, a
 //!   two-site WAN-priced GreenMatch run, a three-site run with failures
-//!   and admission, and a 4 h-slot `small_demo` week — regenerate with
+//!   and admission, a tiered run with failures, and a 4 h-slot
+//!   `small_demo` week — regenerate with
 //!   `GM_UPDATE_GOLDEN=1 cargo test --test telemetry golden`;
 //! * same-seed runs must produce byte-identical traces;
 //! * every record must conserve energy on both sides of the meter;
@@ -96,6 +97,31 @@ fn three_site_cfg() -> ExperimentConfig {
     base.with_sites(sites).with_wan_cost(200)
 }
 
+/// `small_demo` with the temperature layer on and failures hitting EC
+/// shards. The 15 % cold ceiling (150 of the 1 000 objects) holds back
+/// cold candidates from slot ~20 of 72 on, the 32-object migration budget
+/// binds in the first cold nights, objects cycle back through promotion,
+/// and the reads of EC objects fan in over shards. Pins the tier
+/// classifier's picks, EC placement and migration completion together.
+fn tiering_cfg() -> ExperimentConfig {
+    use greenmatch::config::TieringConfig;
+    use greenmatch::policy::PolicyKind;
+
+    ExperimentConfig::small_demo(42)
+        .with_slots(72)
+        .with_policy(PolicyKind::GreenMatch { delay_fraction: 1.0 })
+        .with_failures(gm_storage::FailureSpec {
+            afr: 60.0,
+            standby_factor: 0.5,
+            spinup_wear_hours: 10.0,
+        })
+        .with_tiering(TieringConfig {
+            cold_fraction_target: 0.15,
+            max_migrations_per_slot: 32,
+            ..TieringConfig::default()
+        })
+}
+
 /// The behaviour contract: each config's trace, pinned to committed bytes.
 ///
 /// The carbon-aware and windowed variants run a winter week, where scarce
@@ -127,7 +153,62 @@ fn golden_cases() -> Vec<(&'static str, ExperimentConfig)> {
             winter.with_policy(PolicyKind::GreenMatchWindow { delay_fraction: 1.0, horizon: 12 }),
         ),
         ("tests/golden/small_demo_4h_trace.jsonl", four_hour),
+        ("tests/golden/tiering_failures_trace.jsonl", tiering_cfg()),
     ]
+}
+
+/// The tiering golden exercises what it is there to pin: at least one
+/// completed promotion, at least one read served from EC shards, a cold
+/// ceiling that holds back a waiting cold candidate, and a disk failure
+/// that lands on an EC shard. Placements are read from a snapshot after
+/// every slot; a slot's reads see the placements the previous slot left
+/// (the classifier only marks picks, and placements flip in Settle).
+#[test]
+fn tiering_golden_promotes_reads_ec_and_reaches_the_ceiling() {
+    use gm_storage::{IoKind, Temperature};
+    use greenmatch::World;
+
+    let cfg = tiering_cfg();
+    let tiering = cfg.tiering.expect("tiering on");
+    let ceiling = (tiering.cold_fraction_target * cfg.cluster.objects as f64).floor() as usize;
+    let world = World::try_materialize(&cfg).expect("config materialises");
+    let workload = world.workload.clone();
+    let mut sim = Simulation::builder(&cfg).world(world).build().expect("config materialises");
+    let (mut promotions, mut ec_reads, mut ceiling_held, mut failed_shards) = (0, 0, 0, 0);
+    let mut prev_ec: Vec<(u32, Vec<usize>)> = Vec::new();
+    let mut prev_pending = vec![false; cfg.cluster.topology.n_disks()];
+    while let Some(o) = sim.step() {
+        let snap = sim.snapshot();
+        let cluster = &snap.sites[0].cluster;
+        let tier = cluster.tiering.as_ref().expect("tiering snapshot");
+        let on_ec = |set: &[(u32, Vec<usize>)], obj: u32| {
+            set.binary_search_by_key(&obj, |(o, _)| *o).is_ok()
+        };
+        let batch = workload.slot_batch(cfg.clock, o.slot);
+        ec_reads += (0..batch.len())
+            .map(|i| batch.request(i))
+            .filter(|r| r.kind == IoKind::Read && on_ec(&prev_ec, r.object.0 as u32))
+            .count();
+        promotions += prev_ec.iter().filter(|(obj, _)| !on_ec(&tier.ec, *obj)).count();
+        let waiting = (0..tier.temp.len() as u32).any(|obj| {
+            tier.temp[obj as usize] == Temperature::Cold
+                && !on_ec(&tier.ec, obj)
+                && tier.migrating.binary_search(&obj).is_err()
+        });
+        if waiting && tier.ec.len() + tier.migrating.len() >= ceiling {
+            ceiling_held += 1;
+        }
+        let newly_failed = |d: usize| cluster.pending_rebuild[d] && !prev_pending[d];
+        if prev_ec.iter().any(|(_, shards)| shards.iter().any(|&d| newly_failed(d))) {
+            failed_shards += 1;
+        }
+        prev_ec = tier.ec.clone();
+        prev_pending = cluster.pending_rebuild.clone();
+    }
+    assert!(promotions > 0, "no EC object was promoted back to replication");
+    assert!(ec_reads > 0, "no read was served from EC shards");
+    assert!(ceiling_held > 0, "the cold ceiling ({ceiling} objects) never held a candidate back");
+    assert!(failed_shards > 0, "no disk failure hit an EC shard");
 }
 
 #[test]
