@@ -15,6 +15,7 @@ fn jobs(n: usize) -> Vec<JobView> {
             remaining_bytes: ((i % 37 + 1) as u64) << 32, // 4–148 GiB
             deadline_slot: i % 30,
             critical: false,
+            home_only: false,
         })
         .collect()
 }

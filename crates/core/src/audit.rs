@@ -10,17 +10,19 @@
 //!   [`SlotOutcome`] as the simulation produces it: the two energy
 //!   identities (aggregate and per site), sign and range constraints
 //!   (battery SoC, fractions), executed-vs-requested bounds, matcher unit
-//!   accounting, remote-placement shape, and step-to-step pending-job
-//!   bounds. Attach it with [`crate::Simulation::add_observer`]; results
-//!   come back through the shared [`AuditReport`] handle (the
-//!   [`PhaseTimer`](crate::PhaseTimer) pattern).
+//!   accounting, remote-placement shape (no repair leaves home), the
+//!   tier census, and step-to-step pending-job bounds. Attach it with
+//!   [`crate::Simulation::add_observer`]; results come back through the
+//!   shared [`AuditReport`] handle (the [`PhaseTimer`](crate::PhaseTimer)
+//!   pattern).
 //! * [`Simulation::post_run_audit`] — a deep end-of-run audit over state
 //!   the per-slot outcomes cannot see: battery conservation residuals,
 //!   ledger series identities per site and slot, exact job-byte
 //!   conservation, arrival/completion/pending accounting, feed accounting
-//!   against the workload population, repair-table hygiene, and
-//!   gear-series shape. Call it **before**
-//!   [`Simulation::into_report`] (which consumes the simulation).
+//!   against the workload population, repair-table hygiene, the home
+//!   cluster's in-flight migration and EC counts, and gear-series shape.
+//!   Call it **before** [`Simulation::into_report`] (which consumes the
+//!   simulation).
 //!
 //! Auditing is off by default — a simulation without the observer and
 //! without the post-run call pays nothing. Violations are reported as
@@ -376,6 +378,31 @@ impl SlotObserver for ConservationAuditor {
                     ),
                 });
             }
+            // A repair rebuilds a home disk, so its bytes never leave home.
+            if (REPAIR_ID_BASE..MIGRATION_ID_BASE).contains(&job.0) {
+                report.push(AuditViolation {
+                    slot: Some(o.slot),
+                    site: Some(site),
+                    invariant: "remote_repair",
+                    residual: bytes as f64,
+                    detail: format!("repair job {} placed {bytes} bytes at site {site}", job.0),
+                });
+            }
+        }
+
+        // Tier census: every tracked object is in exactly one class.
+        let census = o.tier_hot + o.tier_warm + o.tier_cold;
+        if census != o.tier_objects {
+            report.push(AuditViolation {
+                slot: Some(o.slot),
+                site: None,
+                invariant: "tier_census",
+                residual: census as f64 - o.tier_objects as f64,
+                detail: format!(
+                    "hot {} + warm {} + cold {} != {} objects",
+                    o.tier_hot, o.tier_warm, o.tier_cold, o.tier_objects
+                ),
+            });
         }
 
         // Pending-jobs step bounds. Repairs spawn at most `disk_failures`
@@ -776,6 +803,45 @@ impl Simulation<'_> {
             }
         }
 
+        // Tier state of the home cluster: the maintained in-flight count
+        // equals the set migration flags, which equal the objects the
+        // pending migration jobs carry; and the EC count equals the
+        // objects whose placement is erasure-coded.
+        let home = &self.sites[0].cluster;
+        if home.tiering_enabled() {
+            let objects = home.spec().objects;
+            let in_flight = home.migrations_in_flight();
+            let flagged = (0..objects).filter(|&o| home.is_migrating(o)).count();
+            let carried: usize = self.migration_jobs.values().map(|info| info.objs.len()).sum();
+            if in_flight != flagged || flagged != carried {
+                report.push(AuditViolation {
+                    slot: None,
+                    site: Some(0),
+                    invariant: "migration_in_flight",
+                    residual: in_flight as f64 - carried as f64,
+                    detail: format!(
+                        "in-flight count {in_flight}, {flagged} objects flagged migrating, \
+                         {carried} objects in pending migration jobs"
+                    ),
+                });
+            }
+            let erasure = (0..objects)
+                .filter(|&o| matches!(home.placement_of(o), gm_storage::Placement::Erasure { .. }))
+                .count();
+            if home.ec_objects() != erasure {
+                report.push(AuditViolation {
+                    slot: None,
+                    site: Some(0),
+                    invariant: "ec_census",
+                    residual: home.ec_objects() as f64 - erasure as f64,
+                    detail: format!(
+                        "ec_objects {} vs {erasure} erasure-coded placements",
+                        home.ec_objects()
+                    ),
+                });
+            }
+        }
+
         // (d) Batch-report orderings (monotone counters).
         let b = &self.batch_report;
         if b.jobs_completed > b.jobs_submitted
@@ -870,6 +936,47 @@ mod tests {
         assert!(report.is_clean(), "{}", render_all(&report));
         let r = sim.into_report();
         assert!(r.repairs_completed > 0, "storm must complete repairs");
+    }
+
+    /// Regression: GreenMatch handed remote sites' slot-0 bytes to repair
+    /// jobs, and Execute then rebuilt the home disk's index on a healthy
+    /// remote disk (a debug panic in `rebuild_step`). Repairs are home-only
+    /// now, and the auditor's `remote_repair` check watches for it.
+    #[test]
+    fn multi_site_repairs_stay_home() {
+        use crate::config::AdmissionConfig;
+
+        let base = ExperimentConfig::small_demo(11)
+            .with_slots(72)
+            .with_policy(PolicyKind::GreenMatch { delay_fraction: 1.0 })
+            .with_failures(gm_storage::FailureSpec {
+                afr: 60.0,
+                standby_factor: 0.5,
+                spinup_wear_hours: 10.0,
+            })
+            .with_admission(AdmissionConfig { alpha: 0.8, defer_slots: 3 });
+        let mut sites = base.site_configs();
+        for (name, offset) in [("mid", 8), ("far", 16)] {
+            let mut site = sites[0].clone();
+            site.name = name.into();
+            site.utc_offset_hours = offset;
+            sites.push(site);
+        }
+        let cfg = base.with_sites(sites).with_wan_cost(200);
+        let (auditor, handle) = ConservationAuditor::new();
+        let mut sim = Simulation::builder(&cfg)
+            .observer(Box::new(auditor))
+            .build()
+            .expect("config materialises");
+        let mut remote_bytes = 0;
+        while let Some(o) = sim.step() {
+            remote_bytes += o.decision.total_remote_bytes();
+        }
+        let mut report = std::mem::take(&mut *handle.lock().unwrap());
+        report.merge(sim.post_run_audit());
+        assert!(report.is_clean(), "{}", render_all(&report));
+        assert!(remote_bytes > 0, "remote sites must take work");
+        assert!(sim.into_report().repairs_completed > 0, "failures must complete repairs");
     }
 
     #[test]

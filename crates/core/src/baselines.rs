@@ -187,7 +187,13 @@ mod tests {
     }
 
     fn job(id: u64, gib: u64, deadline: usize, critical: bool) -> JobView {
-        JobView { id: JobId(id), remaining_bytes: gib << 30, deadline_slot: deadline, critical }
+        JobView {
+            id: JobId(id),
+            remaining_bytes: gib << 30,
+            deadline_slot: deadline,
+            critical,
+            home_only: false,
+        }
     }
 
     #[test]

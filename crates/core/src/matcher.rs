@@ -394,7 +394,13 @@ mod tests {
     }
 
     fn job(id: u64, gib: u64, deadline_slot: usize) -> JobView {
-        JobView { id: JobId(id), remaining_bytes: gib << 30, deadline_slot, critical: false }
+        JobView {
+            id: JobId(id),
+            remaining_bytes: gib << 30,
+            deadline_slot,
+            critical: false,
+            home_only: false,
+        }
     }
 
     /// Green forecast with surplus only in the given offsets.

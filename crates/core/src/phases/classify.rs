@@ -138,7 +138,7 @@ pub(crate) fn run(
 }
 
 /// Columnar job table over the active (pending) jobs, in submission order
-/// — one row pushed per job, landing in four parallel columns. Called by
+/// — one row pushed per job, landing in five parallel columns. Called by
 /// classify when admission is off, and by the admission phase (after the
 /// gate has settled the pending set) when it is on.
 pub(crate) fn fill_job_columns(sim: &mut Simulation, ctx: &SlotContext, scratch: &mut SlotScratch) {
@@ -154,6 +154,7 @@ pub(crate) fn fill_job_columns(sim: &mut Simulation, ctx: &SlotContext, scratch:
             remaining_bytes: j.remaining_bytes,
             deadline_slot: deadline_slot_for(ctx.clock, j.deadline),
             critical: j.is_critical(now, share_bps),
+            home_only: sim.repair_jobs.contains_key(&j.id),
         });
     }
 }

@@ -134,6 +134,10 @@ pub struct JobView {
     pub deadline_slot: SlotIdx,
     /// Whether the job must run now to meet its deadline.
     pub critical: bool,
+    /// Whether the job's bytes must run at the home site: a repair
+    /// rebuilds a home disk, so no remote site can take its work.
+    #[serde(default)]
+    pub home_only: bool,
 }
 
 /// Columnar (struct-of-arrays) table of the pending batch jobs.
@@ -151,6 +155,7 @@ pub struct JobColumns {
     remaining_bytes: Vec<u64>,
     deadline_slots: Vec<SlotIdx>,
     critical: Vec<bool>,
+    home_only: Vec<bool>,
 }
 
 impl JobColumns {
@@ -175,6 +180,7 @@ impl JobColumns {
         self.remaining_bytes.clear();
         self.deadline_slots.clear();
         self.critical.clear();
+        self.home_only.clear();
     }
 
     /// Append one job to the columns.
@@ -183,6 +189,7 @@ impl JobColumns {
         self.remaining_bytes.push(view.remaining_bytes);
         self.deadline_slots.push(view.deadline_slot);
         self.critical.push(view.critical);
+        self.home_only.push(view.home_only);
     }
 
     /// Materialise job `i` as a row.
@@ -195,6 +202,7 @@ impl JobColumns {
             remaining_bytes: self.remaining_bytes[i],
             deadline_slot: self.deadline_slots[i],
             critical: self.critical[i],
+            home_only: self.home_only[i],
         }
     }
 
@@ -578,9 +586,27 @@ mod tests {
     #[test]
     fn edf_fill_orders_and_caps() {
         let jobs: JobColumns = vec![
-            JobView { id: JobId(1), remaining_bytes: 100, deadline_slot: 9, critical: false },
-            JobView { id: JobId(2), remaining_bytes: 100, deadline_slot: 3, critical: false },
-            JobView { id: JobId(3), remaining_bytes: 100, deadline_slot: 6, critical: false },
+            JobView {
+                id: JobId(1),
+                remaining_bytes: 100,
+                deadline_slot: 9,
+                critical: false,
+                home_only: false,
+            },
+            JobView {
+                id: JobId(2),
+                remaining_bytes: 100,
+                deadline_slot: 3,
+                critical: false,
+                home_only: false,
+            },
+            JobView {
+                id: JobId(3),
+                remaining_bytes: 100,
+                deadline_slot: 6,
+                critical: false,
+                home_only: false,
+            },
         ]
         .into();
         let fill = edf_fill(&jobs, 150);
@@ -593,9 +619,27 @@ mod tests {
     #[test]
     fn job_columns_roundtrip_and_scans() {
         let views = vec![
-            JobView { id: JobId(4), remaining_bytes: 10, deadline_slot: 2, critical: true },
-            JobView { id: JobId(5), remaining_bytes: 0, deadline_slot: 7, critical: false },
-            JobView { id: JobId(6), remaining_bytes: 30, deadline_slot: 1, critical: true },
+            JobView {
+                id: JobId(4),
+                remaining_bytes: 10,
+                deadline_slot: 2,
+                critical: true,
+                home_only: false,
+            },
+            JobView {
+                id: JobId(5),
+                remaining_bytes: 0,
+                deadline_slot: 7,
+                critical: false,
+                home_only: true,
+            },
+            JobView {
+                id: JobId(6),
+                remaining_bytes: 30,
+                deadline_slot: 1,
+                critical: true,
+                home_only: false,
+            },
         ];
         let mut cols: JobColumns = views.clone().into();
         assert_eq!(cols.len(), 3);

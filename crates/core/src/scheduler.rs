@@ -214,12 +214,13 @@ impl Scheduler for GreenMatchPolicy {
 
         // Remote placements: assign each remote site's slot-0 bytes to the
         // deferrable jobs in the same EDF order, net of what the home list
-        // already took from each job.
+        // already took from each job. Home-only jobs (repairs) stay home.
         let mut remote_batch_bytes = Vec::new();
         if self.remote_now.iter().any(|&b| b > 0) {
             let mut avail: Vec<(JobId, u64)> = self
                 .deferrable
                 .iter()
+                .filter(|j| !j.home_only)
                 .map(|j| {
                     let home_take: u64 =
                         batch_bytes.iter().filter(|(id, _)| *id == j.id).map(|(_, b)| *b).sum();
@@ -321,7 +322,13 @@ mod tests {
     }
 
     fn job(id: u64, gib: u64, deadline: usize, critical: bool) -> JobView {
-        JobView { id: JobId(id), remaining_bytes: gib << 30, deadline_slot: deadline, critical }
+        JobView {
+            id: JobId(id),
+            remaining_bytes: gib << 30,
+            deadline_slot: deadline,
+            critical,
+            home_only: false,
+        }
     }
 
     #[test]

@@ -182,6 +182,9 @@ pub struct SlotOutcome {
     pub tier_warm: u64,
     /// Objects classified cold after this slot (0 with tiering off).
     pub tier_cold: u64,
+    /// Objects the tier classifier tracks: the home cluster's object count
+    /// with tiering on, 0 with it off. The census must sum to it.
+    pub tier_objects: u64,
     /// Migration-job bytes executed this slot.
     pub migrated_bytes: u64,
     /// Replica bytes released by migrations completing this slot.
@@ -896,6 +899,11 @@ impl<'s> Simulation<'s> {
             tier_hot: classified.tier_hot,
             tier_warm: classified.tier_warm,
             tier_cold: classified.tier_cold,
+            tier_objects: if self.sites[0].cluster.tiering_enabled() {
+                self.sites[0].cluster.spec().objects as u64
+            } else {
+                0
+            },
             migrated_bytes,
             tier_bytes_released: settled.tier_bytes_released,
             tier_bytes_written: settled.tier_bytes_written,

@@ -93,6 +93,7 @@ proptest! {
                 remaining_bytes: gib << 30,
                 deadline_slot: *dl,
                 critical: false,
+                home_only: false,
             })
             .collect();
         let h = green_slots.len();
@@ -142,6 +143,7 @@ proptest! {
             remaining_bytes: jobs_gib << 30,
             deadline_slot: 100,
             critical: false,
+            home_only: false,
         }];
         let busy = vec![0.0; 6];
         let run = |green: f64| {
@@ -174,6 +176,7 @@ proptest! {
                 remaining_bytes: *bytes,
                 deadline_slot: *dl,
                 critical: false,
+                home_only: false,
             })
             .collect();
         let fill = edf_fill(&views.clone().into(), capacity);

@@ -38,8 +38,10 @@ use crate::writelog::WriteLog;
 use gm_sim::time::{SimDuration, SimTime};
 use gm_sim::LogHistogram;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::sync::Arc;
+
+mod ec_index;
+use ec_index::EcIndex;
 
 /// Static cluster configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -329,6 +331,129 @@ pub struct TierStep {
     pub promote_bytes: u64,
 }
 
+/// Why [`Cluster::restore_state`] refused a snapshot. A refused snapshot
+/// leaves the cluster untouched.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RestoreError {
+    /// The per-server or per-disk vectors do not match the topology.
+    Shape {
+        /// Servers in the snapshot.
+        servers: usize,
+        /// Disks in the snapshot.
+        disks: usize,
+        /// Servers in the topology.
+        topology_servers: usize,
+        /// Disks in the topology.
+        topology_disks: usize,
+    },
+    /// `active_gears` is outside `1..=gears`.
+    ActiveGears {
+        /// The snapshot's active gear count.
+        active: usize,
+        /// The topology's gear count.
+        gears: usize,
+    },
+    /// Tiering is on in one of the cluster and the snapshot and off in the
+    /// other.
+    TieringMismatch {
+        /// Whether the cluster has tiering on.
+        cluster: bool,
+        /// Whether the snapshot carries tier state.
+        snapshot: bool,
+    },
+    /// A per-object tier vector tracks a different number of objects.
+    TierObjects {
+        /// The vector's length in the snapshot.
+        snapshot: usize,
+        /// The cluster's object count.
+        cluster: usize,
+    },
+    /// An `ec` or `migrating` entry names an object the cluster lacks.
+    TierObjectIndex {
+        /// The list (`"ec"` or `"migrating"`).
+        list: &'static str,
+        /// The object index.
+        obj: u32,
+        /// The cluster's object count.
+        objects: usize,
+    },
+    /// An `ec` or `migrating` list is not strictly ascending.
+    TierListOrder {
+        /// The list (`"ec"` or `"migrating"`).
+        list: &'static str,
+        /// The first entry not above its predecessor.
+        obj: u32,
+    },
+    /// An EC stripe does not have `k + m` shards.
+    StripeWidth {
+        /// The object.
+        obj: u32,
+        /// Its shard count in the snapshot.
+        width: usize,
+        /// `k + m`.
+        expected: usize,
+    },
+    /// An EC shard sits on a disk the cluster lacks.
+    ShardDisk {
+        /// The object.
+        obj: u32,
+        /// The shard's disk.
+        disk: DiskIdx,
+        /// The cluster's disk count.
+        disks: usize,
+    },
+    /// Two shards of one EC stripe sit on the same disk.
+    DuplicateShard {
+        /// The object.
+        obj: u32,
+        /// The repeated disk.
+        disk: DiskIdx,
+    },
+}
+
+impl std::fmt::Display for RestoreError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let on_off = |on: bool| if on { "on" } else { "off" };
+        match self {
+            RestoreError::Shape { servers, disks, topology_servers, topology_disks } => write!(
+                f,
+                "cluster snapshot shape ({servers} servers, {disks} disks) does not match \
+                 topology ({topology_servers} servers, {topology_disks} disks)"
+            ),
+            RestoreError::ActiveGears { active, gears } => {
+                write!(f, "cluster snapshot active_gears {active} out of range 1..={gears}")
+            }
+            RestoreError::TieringMismatch { cluster, snapshot } => write!(
+                f,
+                "tiering mismatch: cluster {}, snapshot {}",
+                on_off(*cluster),
+                on_off(*snapshot)
+            ),
+            RestoreError::TierObjects { snapshot, cluster } => {
+                write!(f, "tiering snapshot tracks {snapshot} objects, cluster has {cluster}")
+            }
+            RestoreError::TierObjectIndex { list, obj, objects } => {
+                write!(f, "tiering snapshot {list} entry {obj} is not one of {objects} objects")
+            }
+            RestoreError::TierListOrder { list, obj } => {
+                write!(f, "tiering snapshot {list} list is not strictly ascending at {obj}")
+            }
+            RestoreError::StripeWidth { obj, width, expected } => write!(
+                f,
+                "tiering snapshot stripe of object {obj} has {width} shards, expected {expected}"
+            ),
+            RestoreError::ShardDisk { obj, disk, disks } => {
+                write!(f, "tiering snapshot stripe of object {obj} names disk {disk} of {disks}")
+            }
+            RestoreError::DuplicateShard { obj, disk } => {
+                write!(f, "tiering snapshot stripe of object {obj} holds two shards on disk {disk}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for RestoreError {}
+
 /// Live temperature-tier state: per-object access tracking, the swappable
 /// classifier, the EC placement overlay, and capacity accounting. Boxed on
 /// [`Cluster`] so tiering-off runs pay one pointer.
@@ -346,17 +471,49 @@ struct Tiering {
     hits: Vec<u32>,
     /// Current temperature per object.
     temp: Vec<Temperature>,
-    /// EC placement overlay: object index → shard disks. Objects absent
-    /// here still follow the frozen replicated directory.
-    ec: HashMap<usize, Vec<DiskIdx>>,
+    /// EC placement overlay: each object's shard disks, if it is on EC.
+    /// Objects absent here still follow the frozen replicated directory.
+    ec: EcIndex,
     /// Per-object in-flight-migration flag (placement flips at completion).
     migrating: Vec<bool>,
+    /// Number of set `migrating` flags.
+    in_flight: usize,
     /// Raw bytes consumed across all placements.
     capacity_bytes: u64,
     /// Reused buffers of the EC read's shard choice: the chosen shards
     /// with their forced flags, and candidates being ordered by backlog.
     pick: Vec<(DiskIdx, bool)>,
     order: Vec<DiskIdx>,
+}
+
+/// Deterministic EC shard placement for `obj` into `shards` (its `k + m`
+/// stripe), packed bottom-up: shard `s` goes to gear `s / per_gear`, so
+/// the `k` data shards fill the lowest (powered-first) gears and parity
+/// sits above them. Where the stripe fits gear 0 this mirrors the gear
+/// layout's replica-0 guarantee — a normal k-shard read never forces a
+/// spin-up; parity is only touched by writes (write-log offloaded when
+/// dark) and rebuilds. Spread within the gear by object hash with linear
+/// probing for distinctness.
+fn place_ec_shards(spec: &ClusterSpec, obj: usize, shards: &mut [u32]) {
+    let topo = spec.topology;
+    let per_gear = topo.servers_per_gear() * topo.bays;
+    let id = ObjectId(obj as u64);
+    let seed = spec.layout_seed ^ 0xEC0D_E000;
+    for s in 0..shards.len() {
+        let gear = s / per_gear;
+        let base = gear * per_gear;
+        let start = (obj_hash(seed, id, s as u64) % per_gear as u64) as usize;
+        let mut probe = 0;
+        loop {
+            let d = (base + (start + probe) % per_gear) as u32;
+            if !shards[..s].contains(&d) {
+                shards[s] = d;
+                break;
+            }
+            probe += 1;
+            debug_assert!(probe <= per_gear, "gear {gear} exhausted placing shard {s}");
+        }
+    }
 }
 
 /// The live cluster.
@@ -472,8 +629,9 @@ impl Cluster {
             estimator: EwmaEstimator::new(params, n),
             hits: vec![0; n],
             temp: vec![Temperature::Warm; n],
-            ec: HashMap::new(),
+            ec: EcIndex::new(n, k + m),
             migrating: vec![false; n],
+            in_flight: 0,
             capacity_bytes: n as u64 * spec.replication as u64 * spec.object_size_bytes,
             pick: Vec::with_capacity(k),
             order: Vec::with_capacity(k + m),
@@ -502,48 +660,26 @@ impl Cluster {
         self.tiering.as_ref().map_or(0, |t| t.ec.len())
     }
 
+    /// Tier migrations selected by `tier_step` and not yet completed.
+    pub fn migrations_in_flight(&self) -> usize {
+        self.tiering.as_ref().map_or(0, |t| t.in_flight)
+    }
+
+    /// Whether `obj` has a tier migration in flight.
+    pub fn is_migrating(&self, obj: usize) -> bool {
+        self.tiering.as_ref().is_some_and(|t| t.migrating[obj])
+    }
+
     /// Current placement of an object: the frozen replicated directory
     /// entry, unless the temperature layer has demoted it to EC.
     pub fn placement_of(&self, obj: usize) -> Placement {
         if let Some(t) = &self.tiering {
-            if let Some(shards) = t.ec.get(&obj) {
-                return Placement::Erasure { k: t.k, m: t.m, shards: shards.clone() };
+            if let Some(shards) = t.ec.get(obj) {
+                let shards = shards.iter().map(|&d| d as DiskIdx).collect();
+                return Placement::Erasure { k: t.k, m: t.m, shards };
             }
         }
         Placement::Replicated { replicas: self.layout.directory[obj].replicas.clone() }
-    }
-
-    /// Deterministic EC shard placement for `obj`, packed bottom-up: shard
-    /// `s` goes to gear `s / per_gear`, so the `k` data shards fill the
-    /// lowest (powered-first) gears and parity sits above them. Where the
-    /// stripe fits gear 0 this mirrors the gear layout's replica-0
-    /// guarantee — a normal k-shard read never forces a spin-up; parity is
-    /// only touched by writes (write-log offloaded when dark) and
-    /// rebuilds. Spread within the gear by object hash with linear probing
-    /// for distinctness.
-    fn place_ec_shards(&self, obj: usize) -> Vec<DiskIdx> {
-        let t = self.tiering.as_ref().expect("shard placement needs tiering");
-        let topo = self.layout.spec.topology;
-        let per_gear = topo.servers_per_gear() * topo.bays;
-        let id = ObjectId(obj as u64);
-        let seed = self.layout.spec.layout_seed ^ 0xEC0D_E000;
-        let mut shards = Vec::with_capacity(t.k + t.m);
-        for s in 0..t.k + t.m {
-            let gear = s / per_gear;
-            let base = gear * per_gear;
-            let start = (obj_hash(seed, id, s as u64) % per_gear as u64) as usize;
-            let mut probe = 0;
-            loop {
-                let d = base + (start + probe) % per_gear;
-                if !shards.contains(&d) {
-                    shards.push(d);
-                    break;
-                }
-                probe += 1;
-                debug_assert!(probe <= per_gear, "gear {gear} exhausted placing shard {s}");
-            }
-        }
-        shards
     }
 
     /// Run one classification slot of width `hours`: fold the accumulated
@@ -553,51 +689,57 @@ impl Cluster {
     /// migrating. Selected objects are marked in-flight — the placement
     /// flips when the caller reports the migration job complete via
     /// [`Cluster::complete_migration`]. No-op with tiering off.
+    ///
+    /// One ascending pass does it all. An object's class depends only on
+    /// its own state, demotion wants Cold and promotion Hot (no object
+    /// qualifies for both), and both stop conditions only ever become
+    /// true, so picking in the pass selects exactly the lowest-index
+    /// candidates separate demotion and promotion scans would.
     pub fn tier_step(&mut self, hours: f64, max_migrations: usize) -> TierStep {
         let Some(t) = &mut self.tiering else {
             return TierStep::default();
         };
+        let spec = &self.layout.spec;
+        // Demotions stop at the cold-fraction ceiling, which counts EC
+        // residents and in-flight work.
+        let ceiling = (t.cold_fraction_target * spec.objects as f64).floor() as usize;
+        let mut cold_footprint = t.ec.len() + t.in_flight;
         let mut out = TierStep::default();
-        for obj in 0..t.hits.len() {
-            t.estimator.observe(obj, t.hits[obj], hours);
-            t.hits[obj] = 0;
-            t.temp[obj] = t.estimator.classify(obj, t.temp[obj]);
-            match t.temp[obj] {
-                Temperature::Hot => out.hot += 1,
+        let Tiering { estimator, hits, temp, ec, migrating, .. } = &mut **t;
+        for obj in 0..hits.len() {
+            estimator.observe(obj, hits[obj], hours);
+            hits[obj] = 0;
+            let class = estimator.classify(obj, temp[obj]);
+            temp[obj] = class;
+            match class {
+                Temperature::Hot => {
+                    out.hot += 1;
+                    if out.promote.len() < max_migrations && !migrating[obj] && ec.contains(obj) {
+                        migrating[obj] = true;
+                        out.promote.push(obj as u32);
+                    }
+                }
                 Temperature::Warm => out.warm += 1,
-                Temperature::Cold => out.cold += 1,
+                Temperature::Cold => {
+                    out.cold += 1;
+                    if out.demote.len() < max_migrations
+                        && cold_footprint < ceiling
+                        && !migrating[obj]
+                        && !ec.contains(obj)
+                    {
+                        migrating[obj] = true;
+                        cold_footprint += 1;
+                        out.demote.push(obj as u32);
+                    }
+                }
             }
         }
-        let spec = &self.layout.spec;
+        t.in_flight += out.demote.len() + out.promote.len();
         let size = spec.object_size_bytes;
         let shard_bytes = size.div_ceil(t.k as u64);
-        let ec_stored = (t.k + t.m) as u64 * shard_bytes;
-        // Demotions: cold replicated objects, up to the budget and the
-        // cold-fraction ceiling (counting EC residents and in-flight work).
-        let ceiling = (t.cold_fraction_target * spec.objects as f64).floor() as usize;
-        let mut cold_footprint = t.ec.len() + t.migrating.iter().filter(|&&f| f).count();
-        for obj in 0..t.temp.len() {
-            if out.demote.len() >= max_migrations || cold_footprint >= ceiling {
-                break;
-            }
-            if t.temp[obj] == Temperature::Cold && !t.migrating[obj] && !t.ec.contains_key(&obj) {
-                t.migrating[obj] = true;
-                cold_footprint += 1;
-                out.demote.push(obj as u32);
-                out.demote_bytes += size + ec_stored;
-            }
-        }
-        // Promotions: hot EC objects, up to the budget.
-        for obj in 0..t.temp.len() {
-            if out.promote.len() >= max_migrations {
-                break;
-            }
-            if t.temp[obj] == Temperature::Hot && !t.migrating[obj] && t.ec.contains_key(&obj) {
-                t.migrating[obj] = true;
-                out.promote.push(obj as u32);
-                out.promote_bytes += t.k as u64 * shard_bytes + spec.replication as u64 * size;
-            }
-        }
+        out.demote_bytes = out.demote.len() as u64 * (size + (t.k + t.m) as u64 * shard_bytes);
+        out.promote_bytes =
+            out.promote.len() as u64 * (t.k as u64 * shard_bytes + spec.replication as u64 * size);
         out
     }
 
@@ -610,35 +752,25 @@ impl Cluster {
         if objs.is_empty() {
             return (0, 0);
         }
-        let placements: Vec<Vec<DiskIdx>> = if demote {
-            objs.iter().map(|&o| self.place_ec_shards(o as usize)).collect()
-        } else {
-            Vec::new()
-        };
-        let spec_size = self.layout.spec.object_size_bytes;
-        let replication = self.layout.spec.replication as u64;
+        let spec = &self.layout.spec;
         let t = self.tiering.as_mut().expect("migration needs tiering");
-        let shard_bytes = spec_size.div_ceil(t.k as u64);
-        let ec_stored = (t.k + t.m) as u64 * shard_bytes;
-        let rep_stored = replication * spec_size;
-        let mut released = 0u64;
-        let mut written = 0u64;
-        for (i, &o) in objs.iter().enumerate() {
+        for &o in objs {
             let obj = o as usize;
-            debug_assert!(t.migrating[obj], "completing a migration that was never scheduled");
-            t.migrating[obj] = false;
+            let was_migrating = std::mem::replace(&mut t.migrating[obj], false);
+            debug_assert!(was_migrating, "completing a migration that was never scheduled");
+            t.in_flight -= usize::from(was_migrating);
             if demote {
-                let prev = t.ec.insert(obj, placements[i].clone());
-                debug_assert!(prev.is_none(), "demoting an already-EC object");
-                released += rep_stored;
-                written += ec_stored;
+                place_ec_shards(spec, obj, t.ec.insert(obj));
             } else {
-                let prev = t.ec.remove(&obj);
-                debug_assert!(prev.is_some(), "promoting a replicated object");
-                released += ec_stored;
-                written += rep_stored;
+                let was_ec = t.ec.remove(obj);
+                debug_assert!(was_ec, "promoting a replicated object");
             }
         }
+        let n = objs.len() as u64;
+        let ec_bytes = n * (t.k + t.m) as u64 * spec.object_size_bytes.div_ceil(t.k as u64);
+        let replica_bytes = n * spec.replication as u64 * spec.object_size_bytes;
+        let (released, written) =
+            if demote { (replica_bytes, ec_bytes) } else { (ec_bytes, replica_bytes) };
         t.capacity_bytes = t.capacity_bytes - released + written;
         (released, written)
     }
@@ -665,9 +797,10 @@ impl Cluster {
             total_forced_spinups: self.total_forced_spinups,
             cache: self.cache.clone(),
             tiering: self.tiering.as_ref().map(|t| {
-                let mut ec: Vec<(u32, Vec<DiskIdx>)> =
-                    t.ec.iter().map(|(&o, s)| (o as u32, s.clone())).collect();
-                ec.sort_unstable_by_key(|(o, _)| *o);
+                let ec =
+                    t.ec.iter()
+                        .map(|(o, s)| (o as u32, s.iter().map(|&d| d as DiskIdx).collect()))
+                        .collect();
                 let migrating: Vec<u32> =
                     (0..t.migrating.len() as u32).filter(|&o| t.migrating[o as usize]).collect();
                 TieringSnapshot {
@@ -683,30 +816,41 @@ impl Cluster {
     }
 
     /// Overlay a previously captured state onto this (freshly assembled)
-    /// cluster, keeping its layout and slot width. Fails if the snapshot's
-    /// per-server/per-disk vectors do not match this cluster's topology —
-    /// a snapshot cannot be resumed under a different cluster shape.
-    pub fn restore_state(&mut self, snap: &ClusterSnapshot) -> Result<(), String> {
+    /// cluster, keeping its layout and slot width. The whole snapshot is
+    /// checked against this cluster before anything is written, so a
+    /// refused snapshot leaves the cluster as it was: its per-server and
+    /// per-disk vectors must match the topology (a snapshot cannot resume
+    /// under a different cluster shape), and its tier state must match
+    /// the cluster's tiering and be well formed: per-object vectors of the
+    /// cluster's length, `ec` and `migrating` lists of in-range objects in
+    /// strictly ascending order, and EC stripes of `k + m` distinct disks
+    /// of this cluster.
+    pub fn restore_state(&mut self, snap: &ClusterSnapshot) -> Result<(), RestoreError> {
         let topo = self.layout.spec.topology;
         if snap.servers.len() != topo.servers
             || snap.disks.len() != topo.n_disks()
             || snap.queues.len() != topo.n_disks()
             || snap.pending_rebuild.len() != topo.n_disks()
         {
-            return Err(format!(
-                "cluster snapshot shape ({} servers, {} disks) does not match topology \
-                 ({} servers, {} disks)",
-                snap.servers.len(),
-                snap.disks.len(),
-                topo.servers,
-                topo.n_disks()
-            ));
+            return Err(RestoreError::Shape {
+                servers: snap.servers.len(),
+                disks: snap.disks.len(),
+                topology_servers: topo.servers,
+                topology_disks: topo.n_disks(),
+            });
         }
         if snap.active_gears == 0 || snap.active_gears > topo.gears {
-            return Err(format!(
-                "cluster snapshot active_gears {} out of range 1..={}",
-                snap.active_gears, topo.gears
-            ));
+            return Err(RestoreError::ActiveGears { active: snap.active_gears, gears: topo.gears });
+        }
+        match (&self.tiering, &snap.tiering) {
+            (None, None) => {}
+            (Some(t), Some(ts)) => self.check_tiering_snapshot(t, ts)?,
+            (mine, theirs) => {
+                return Err(RestoreError::TieringMismatch {
+                    cluster: mine.is_some(),
+                    snapshot: theirs.is_some(),
+                })
+            }
         }
         self.servers = snap.servers.clone();
         self.disks = snap.disks.clone();
@@ -730,32 +874,75 @@ impl Cluster {
         self.total_spinups = snap.total_spinups;
         self.total_forced_spinups = snap.total_forced_spinups;
         self.cache = snap.cache.clone();
-        match (&mut self.tiering, &snap.tiering) {
-            (None, None) => {}
-            (Some(t), Some(ts)) => {
-                let n = t.hits.len();
-                if ts.rate.len() != n || ts.hits.len() != n || ts.temp.len() != n {
-                    return Err(format!(
-                        "tiering snapshot tracks {} objects, cluster has {n}",
-                        ts.rate.len()
-                    ));
+        if let (Some(t), Some(ts)) = (&mut self.tiering, &snap.tiering) {
+            let n = t.hits.len();
+            t.estimator.rate = ts.rate.clone();
+            t.hits = ts.hits.clone();
+            t.temp = ts.temp.clone();
+            t.ec = EcIndex::new(n, t.k + t.m);
+            for (o, shards) in &ts.ec {
+                for (slot, &d) in t.ec.insert(*o as usize).iter_mut().zip(shards) {
+                    *slot = d as u32;
                 }
-                t.estimator.rate = ts.rate.clone();
-                t.hits = ts.hits.clone();
-                t.temp = ts.temp.clone();
-                t.ec = ts.ec.iter().map(|(o, s)| (*o as usize, s.clone())).collect();
-                t.migrating = vec![false; n];
-                for &o in &ts.migrating {
-                    t.migrating[o as usize] = true;
-                }
-                t.capacity_bytes = ts.capacity_bytes;
             }
-            (mine, theirs) => {
-                return Err(format!(
-                    "tiering mismatch: cluster {}, snapshot {}",
-                    if mine.is_some() { "on" } else { "off" },
-                    if theirs.is_some() { "on" } else { "off" }
-                ));
+            t.migrating = vec![false; n];
+            for &o in &ts.migrating {
+                t.migrating[o as usize] = true;
+            }
+            t.in_flight = ts.migrating.len();
+            t.capacity_bytes = ts.capacity_bytes;
+        }
+        Ok(())
+    }
+
+    /// Check a tier snapshot against the live tier state `t` before any of
+    /// it is restored (see [`Cluster::restore_state`]).
+    fn check_tiering_snapshot(
+        &self,
+        t: &Tiering,
+        ts: &TieringSnapshot,
+    ) -> Result<(), RestoreError> {
+        let n = t.hits.len();
+        for len in [ts.rate.len(), ts.hits.len(), ts.temp.len()] {
+            if len != n {
+                return Err(RestoreError::TierObjects { snapshot: len, cluster: n });
+            }
+        }
+        fn check_list(
+            list: &'static str,
+            objs: impl Iterator<Item = u32>,
+            n: usize,
+        ) -> Result<(), RestoreError> {
+            let mut prev = None;
+            for obj in objs {
+                if obj as usize >= n {
+                    return Err(RestoreError::TierObjectIndex { list, obj, objects: n });
+                }
+                if prev.is_some_and(|p| p >= obj) {
+                    return Err(RestoreError::TierListOrder { list, obj });
+                }
+                prev = Some(obj);
+            }
+            Ok(())
+        }
+        check_list("ec", ts.ec.iter().map(|(o, _)| *o), n)?;
+        check_list("migrating", ts.migrating.iter().copied(), n)?;
+        let (width, disks) = (t.k + t.m, self.layout.spec.topology.n_disks());
+        for (obj, shards) in &ts.ec {
+            if shards.len() != width {
+                return Err(RestoreError::StripeWidth {
+                    obj: *obj,
+                    width: shards.len(),
+                    expected: width,
+                });
+            }
+            for (i, &disk) in shards.iter().enumerate() {
+                if disk >= disks {
+                    return Err(RestoreError::ShardDisk { obj: *obj, disk, disks });
+                }
+                if shards[..i].contains(&disk) {
+                    return Err(RestoreError::DuplicateShard { obj: *obj, disk });
+                }
             }
         }
         Ok(())
@@ -873,7 +1060,7 @@ impl Cluster {
         let mut lost = 0usize;
         let mut affected = 0usize;
         for &oid in &self.disk_objects[disk] {
-            if self.tiering.as_ref().is_some_and(|t| t.ec.contains_key(&(oid as usize))) {
+            if self.is_ec(oid as usize) {
                 continue;
             }
             let obj = &self.layout.directory[oid as usize];
@@ -886,17 +1073,20 @@ impl Cluster {
         let mut rebuild_bytes = affected as u64 * self.layout.spec.object_size_bytes;
         // EC overlay: a shard on the failed disk is rebuilt by reading k
         // survivors and writing the replacement; more than m failed shards
-        // is data loss. Sums only, so map order does not matter.
+        // is data loss.
         if let Some(t) = &self.tiering {
             let shard_bytes = self.layout.spec.object_size_bytes.div_ceil(t.k as u64);
-            for shards in t.ec.values() {
-                if !shards.contains(&disk) {
+            for (_, shards) in t.ec.iter() {
+                if !shards.contains(&(disk as u32)) {
                     continue;
                 }
                 affected += 1;
                 rebuild_bytes += (t.k as u64 + 1) * shard_bytes;
-                let failed =
-                    shards.iter().filter(|&&d| d == disk || self.pending_rebuild[d]).count();
+                let failed = shards
+                    .iter()
+                    .map(|&d| d as DiskIdx)
+                    .filter(|&d| d == disk || self.pending_rebuild[d])
+                    .count();
                 if failed > t.m {
                     lost += 1;
                 }
@@ -1170,7 +1360,7 @@ impl Cluster {
     /// Whether the temperature layer holds `obj` on erasure coding.
     #[inline]
     fn is_ec(&self, obj: usize) -> bool {
-        self.tiering.as_ref().is_some_and(|t| t.ec.contains_key(&obj))
+        self.tiering.as_ref().is_some_and(|t| t.ec.contains(obj))
     }
 
     /// A read with no available replica (non-gear layouts, or failures):
@@ -1235,20 +1425,19 @@ impl Cluster {
         // disks are driven: no per-request copy of the shards.
         let mut tiering = self.tiering.take().expect("EC read needs tiering");
         let Tiering { k, ec, pick, order, .. } = &mut *tiering;
-        let (k, shards) = (*k, &ec[&obj_idx]);
+        let (k, shards) = (*k, ec.get(obj_idx).expect("EC read of a replicated object"));
+        let shards = || shards.iter().map(|&d| d as DiskIdx);
         // Choose k shards: available first, then intact (forced spin-up),
         // each group in backlog order with shard order breaking ties.
         pick.clear();
         order.clear();
-        order.extend(shards.iter().copied().filter(|&d| self.available[d]));
+        order.extend(shards().filter(|&d| self.available[d]));
         order.sort_by_key(|&d| self.queues[d].next_free());
         pick.extend(order.iter().take(k).map(|&d| (d, false)));
         if pick.len() < k {
             order.clear();
             order.extend(
-                shards
-                    .iter()
-                    .copied()
+                shards()
                     .filter(|&d| !self.pending_rebuild[d] && !pick.iter().any(|&(c, _)| c == d)),
             );
             order.sort_by_key(|&d| self.queues[d].next_free());
@@ -1259,7 +1448,7 @@ impl Cluster {
             // Fewer than k intact shards: degraded service from whatever
             // shard replacements exist (mirrors the replicated fallback).
             self.degraded_reads += 1;
-            for &d in shards {
+            for d in shards() {
                 if pick.len() == k {
                     break;
                 }
@@ -1292,12 +1481,12 @@ impl Cluster {
     /// off-load to the write log exactly like replicated writes.
     fn serve_ec_write(&mut self, req: &IoRequest, obj_idx: usize) -> ServedRequest {
         let tiering = self.tiering.take().expect("EC write needs tiering");
-        let shards = &tiering.ec[&obj_idx];
+        let shards = tiering.ec.get(obj_idx).expect("EC write to a replicated object");
         let per_shard = req.size_bytes.div_ceil(tiering.k as u64);
         let service = self.layout.spec.disk.service_time(per_shard, req.sequential);
         let append = self.layout.spec.disk.service_time(per_shard, true);
         let mut ack = None;
-        for (s, &disk) in shards.iter().enumerate().take(tiering.k + tiering.m) {
+        for (s, disk) in shards.iter().map(|&d| d as DiskIdx).enumerate() {
             if s == 0 || self.available[disk] {
                 let ready = self.ensure_disk_up(disk, req.arrival, s == 0);
                 let served = self.serve_on(disk, req.arrival, ready, service);
@@ -1446,6 +1635,9 @@ impl Cluster {
 
 #[cfg(test)]
 mod serve_kernel_equivalence;
+
+#[cfg(test)]
+mod tier_pass_equivalence;
 
 #[cfg(test)]
 mod tests {
@@ -1882,6 +2074,87 @@ mod tests {
         let mut on = Cluster::from_layout(a.layout().clone());
         on.enable_tiering(EwmaParams::default(), 1.0, 4, 2);
         assert!(on.restore_state(&off_snap).is_err());
+    }
+
+    /// A malformed tier snapshot is refused with a typed error before
+    /// anything is written: no panic on out-of-range indices, no stripe
+    /// that would panic when served, and no half-restored cluster.
+    #[test]
+    fn malformed_tiering_snapshots_are_refused_untouched() {
+        type Doctor = fn(&mut TieringSnapshot);
+        type Expected = fn(&RestoreError) -> bool;
+        let a = tiered_cluster_all_cold(4, 2);
+        let good = a.snapshot();
+        let cases: [(&str, Doctor, Expected); 9] = [
+            (
+                "migrating index past the objects",
+                |t| t.migrating = vec![3, 1_000],
+                |e| {
+                    matches!(e, RestoreError::TierObjectIndex { list: "migrating", obj: 1_000, .. })
+                },
+            ),
+            (
+                "ec index past the objects",
+                |t| t.ec.push((1_000, t.ec[0].1.clone())),
+                |e| matches!(e, RestoreError::TierObjectIndex { list: "ec", obj: 1_000, .. }),
+            ),
+            (
+                "unsorted migrating list",
+                |t| t.migrating = vec![5, 3],
+                |e| matches!(e, RestoreError::TierListOrder { list: "migrating", obj: 3 }),
+            ),
+            (
+                "repeated ec entry",
+                |t| t.ec[1].0 = t.ec[0].0,
+                |e| matches!(e, RestoreError::TierListOrder { list: "ec", .. }),
+            ),
+            (
+                "short stripe",
+                |t| {
+                    t.ec[7].1.pop();
+                },
+                |e| matches!(e, RestoreError::StripeWidth { obj: 7, width: 5, expected: 6 }),
+            ),
+            (
+                "shard on a missing disk",
+                |t| t.ec[2].1[4] = 12,
+                |e| matches!(e, RestoreError::ShardDisk { obj: 2, disk: 12, disks: 12 }),
+            ),
+            (
+                "two shards on one disk",
+                |t| t.ec[9].1[3] = t.ec[9].1[0],
+                |e| matches!(e, RestoreError::DuplicateShard { obj: 9, .. }),
+            ),
+            (
+                "rate vector too short",
+                |t| {
+                    t.rate.pop();
+                },
+                |e| matches!(e, RestoreError::TierObjects { snapshot: 999, cluster: 1_000 }),
+            ),
+            (
+                "temperature vector too long",
+                |t| t.temp.push(Temperature::Hot),
+                |e| matches!(e, RestoreError::TierObjects { snapshot: 1_001, cluster: 1_000 }),
+            ),
+        ];
+        for (what, doctor, expected) in cases {
+            let mut bad = good.clone();
+            // Non-tier state differs too, so a half-restore would show.
+            bad.active_gears = 1;
+            bad.total_failures += 7;
+            doctor(bad.tiering.as_mut().expect("tiering on"));
+            let mut c = Cluster::from_layout(a.layout().clone());
+            c.enable_tiering(EwmaParams::default(), 1.0, 4, 2);
+            let before = serde_json::to_string(&c.snapshot()).unwrap();
+            let err = c.restore_state(&bad).expect_err(what);
+            assert!(expected(&err), "{what}: unexpected error {err:?}");
+            assert_eq!(
+                serde_json::to_string(&c.snapshot()).unwrap(),
+                before,
+                "{what}: the refused snapshot changed the cluster"
+            );
+        }
     }
 
     #[test]

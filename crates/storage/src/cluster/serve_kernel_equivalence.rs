@@ -76,7 +76,7 @@ impl Cluster {
                         latency: CACHE_HIT_SERVICE,
                     };
                 }
-                if self.tiering.as_ref().is_some_and(|t| t.ec.contains_key(&obj_idx)) {
+                if self.tiering.as_ref().is_some_and(|t| t.ec.contains(obj_idx)) {
                     let served = self.oracle_ec_read(req, obj_idx);
                     self.cache.insert(req.object, obj_size);
                     return served;
@@ -115,7 +115,7 @@ impl Cluster {
             }
             IoKind::Write => {
                 self.cache.invalidate(req.object);
-                if self.tiering.as_ref().is_some_and(|t| t.ec.contains_key(&obj_idx)) {
+                if self.tiering.as_ref().is_some_and(|t| t.ec.contains(obj_idx)) {
                     return self.oracle_ec_write(req, obj_idx);
                 }
                 let mut ack: Option<ServedRequest> = None;
@@ -147,10 +147,8 @@ impl Cluster {
     }
 
     fn oracle_ec_read(&mut self, req: &IoRequest, obj_idx: usize) -> ServedRequest {
-        let (k, shards) = {
-            let t = self.tiering.as_ref().expect("EC read needs tiering");
-            (t.k, t.ec[&obj_idx].clone())
-        };
+        let k = self.tiering.as_ref().expect("EC read needs tiering").k;
+        let shards = self.placement_of(obj_idx).disks().to_vec();
         let mut chosen: Vec<(DiskIdx, bool)> = Vec::with_capacity(k);
         let mut avail: Vec<DiskIdx> =
             shards.iter().copied().filter(|&d| self.oracle_available(d)).collect();
@@ -201,10 +199,11 @@ impl Cluster {
     }
 
     fn oracle_ec_write(&mut self, req: &IoRequest, obj_idx: usize) -> ServedRequest {
-        let (k, n_shards, shards) = {
+        let (k, n_shards) = {
             let t = self.tiering.as_ref().expect("EC write needs tiering");
-            (t.k, t.k + t.m, t.ec[&obj_idx].clone())
+            (t.k, t.k + t.m)
         };
+        let shards = self.placement_of(obj_idx).disks().to_vec();
         let per_shard = req.size_bytes.div_ceil(k as u64);
         let mut ack: Option<ServedRequest> = None;
         for (s, &disk) in shards.iter().enumerate().take(n_shards) {

@@ -51,7 +51,7 @@ pub mod writelog;
 
 pub use batch::RequestBatch;
 pub use cache::LruCache;
-pub use cluster::{Cluster, ClusterLayout, ClusterSnapshot, ClusterSpec, GearState};
+pub use cluster::{Cluster, ClusterLayout, ClusterSnapshot, ClusterSpec, GearState, RestoreError};
 pub use disk::{Disk, DiskPowerState, DiskSpec};
 pub use failure::{FailureDice, FailureReport, FailureSpec, HOURS_PER_YEAR};
 pub use layout::{

@@ -18,6 +18,9 @@ cargo test -q --test telemetry golden
 echo "==> serve-kernel equivalence gate (serve_batch vs per-request oracle)"
 cargo test -q -p gm-storage serve_kernel_equivalence
 
+echo "==> tier-pass equivalence gate (one-pass tier_step vs three-pass oracle)"
+cargo test -q -p gm-storage tier_pass_equivalence
+
 echo "==> snapshot/resume byte-identity gate (branch vs cold)"
 cargo test -q --test snapshot
 
