@@ -6,7 +6,7 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use gm_storage::ClusterSpec;
 use gm_workload::JobId;
 use greenmatch::matcher::{MatchInput, Matcher};
-use greenmatch::policy::{BatteryView, JobView, PlanningModel, SiteView};
+use greenmatch::policy::{JobView, PlanningModel, SiteView};
 
 fn jobs(n: usize) -> Vec<JobView> {
     (0..n)
@@ -38,7 +38,8 @@ fn bench_matcher(c: &mut Criterion) {
                 &horizon,
                 |b, _| {
                     b.iter(|| {
-                        let home = [SiteView::home(&g, model, BatteryView::default())];
+                        let home =
+                            [SiteView { green_forecast_wh: &g, model, wan_cost_per_unit: 0 }];
                         let input = MatchInput {
                             jobs: &js,
                             current_slot: 0,

@@ -365,8 +365,8 @@ impl SlotObserver for ConservationAuditor {
         // Single-site runs must not place remote work; multi-site site
         // indices must name existing non-home sites.
         let n_sites = if o.site_energy.is_empty() { 1 } else { o.site_energy.len() };
-        for &(site, job, bytes) in &o.decision.remote_batch_bytes {
-            if site == 0 || site >= n_sites {
+        for &(site, job, bytes) in o.decision.placements.iter().filter(|(s, _, _)| *s > 0) {
+            if site >= n_sites {
                 report.push(AuditViolation {
                     slot: Some(o.slot),
                     site: Some(site),
@@ -970,7 +970,7 @@ mod tests {
             .expect("config materialises");
         let mut remote_bytes = 0;
         while let Some(o) = sim.step() {
-            remote_bytes += o.decision.total_remote_bytes();
+            remote_bytes += o.decision.total_batch_bytes() - o.decision.site_bytes(0);
         }
         let mut report = std::mem::take(&mut *handle.lock().unwrap());
         report.merge(sim.post_run_audit());

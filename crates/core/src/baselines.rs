@@ -20,17 +20,17 @@ pub struct AllOn;
 
 impl Scheduler for AllOn {
     fn decide(&mut self, ctx: &SchedContext<'_>) -> Decision {
-        let capacity = ctx.model.batch_capacity_bytes(
-            ctx.model.gears,
+        let model = ctx.home().model;
+        let capacity = model.batch_capacity_bytes(
+            model.gears,
             ctx.interactive_busy_secs.first().copied().unwrap_or(0.0),
             ctx.slot_secs(),
         );
         Decision {
-            gears: ctx.model.gears,
-            batch_bytes: edf_fill(ctx.jobs, capacity),
+            gears: model.gears,
+            placements: edf_fill(ctx.jobs, capacity),
             reclaim_budget_bytes: u64::MAX,
             infeasible_bytes: 0,
-            remote_batch_bytes: Vec::new(),
         }
     }
 
@@ -44,23 +44,23 @@ pub struct PowerProportional;
 
 impl PowerProportional {
     fn decide_inner(ctx: &SchedContext<'_>) -> Decision {
+        let model = ctx.home().model;
         let busy = ctx.interactive_busy_secs.first().copied().unwrap_or(0.0);
         let min_g = ctx.min_gears_now();
         // Raise gears until pending batch fits in this slot, or max out.
         let pending = ctx.pending_batch_bytes() + ctx.writelog_pending_bytes;
         let mut gears = min_g;
-        while gears < ctx.model.gears
-            && ctx.model.batch_capacity_bytes(gears, busy, ctx.slot_secs()) < pending
+        while gears < model.gears
+            && model.batch_capacity_bytes(gears, busy, ctx.slot_secs()) < pending
         {
             gears += 1;
         }
-        let capacity = ctx.model.batch_capacity_bytes(gears, busy, ctx.slot_secs());
+        let capacity = model.batch_capacity_bytes(gears, busy, ctx.slot_secs());
         Decision {
             gears,
-            batch_bytes: edf_fill(ctx.jobs, capacity),
+            placements: edf_fill(ctx.jobs, capacity),
             reclaim_budget_bytes: u64::MAX,
             infeasible_bytes: 0,
-            remote_batch_bytes: Vec::new(),
         }
     }
 }
@@ -103,23 +103,24 @@ impl Scheduler for GreedyGreen {
         let busy = ctx.interactive_busy_secs.first().copied().unwrap_or(0.0);
         let slot_secs = ctx.slot_secs();
         let hours = ctx.slot_hours();
-        let green_wh = ctx.green_forecast_wh.first().copied().unwrap_or(0.0);
+        let model = ctx.home().model;
+        let green_wh = ctx.home().green_forecast_wh.first().copied().unwrap_or(0.0);
         let min_g = ctx.min_gears_now();
 
         // Deadline-forced work always runs (a contiguous column scan).
         let critical_bytes: u64 = ctx.jobs.critical_bytes();
 
         // Surplus after the mandatory floor.
-        let floor_wh = ctx.model.idle_w(min_g) * hours + ctx.model.batch_energy_wh(critical_bytes);
+        let floor_wh = model.idle_w(min_g) * hours + model.batch_energy_wh(critical_bytes);
         let mut surplus_wh = (green_wh - floor_wh).max(0.0);
 
         // Raise gears while the surplus pays the extra idle energy and
         // there is work to run.
         let pending = ctx.pending_batch_bytes();
         let mut gears = min_g;
-        while gears < ctx.model.gears {
-            let gear_cost = ctx.model.gear_idle_wh_per_hour * hours;
-            let would_have = ctx.model.batch_capacity_bytes(gears, busy, slot_secs);
+        while gears < model.gears {
+            let gear_cost = model.gear_idle_wh_per_hour * hours;
+            let would_have = model.batch_capacity_bytes(gears, busy, slot_secs);
             if surplus_wh > gear_cost && pending > would_have {
                 surplus_wh -= gear_cost;
                 gears += 1;
@@ -129,17 +130,16 @@ impl Scheduler for GreedyGreen {
         }
 
         // Green-funded bytes at the chosen gear level, plus critical work.
-        let fundable = ctx.model.bytes_fundable_by(surplus_wh);
-        let capacity = ctx.model.batch_capacity_bytes(gears, busy, slot_secs);
+        let fundable = model.bytes_fundable_by(surplus_wh);
+        let capacity = model.batch_capacity_bytes(gears, busy, slot_secs);
         let budget = fundable.saturating_add(critical_bytes).min(capacity);
         // Reclaim only piggybacks on green slots (it is deferrable too).
         let reclaim = if surplus_wh > 0.0 { u64::MAX } else { 0 };
         Decision {
             gears,
-            batch_bytes: edf_fill(ctx.jobs, budget),
+            placements: edf_fill(ctx.jobs, budget),
             reclaim_budget_bytes: reclaim,
             infeasible_bytes: 0,
-            remote_batch_bytes: Vec::new(),
         }
     }
 
@@ -151,7 +151,7 @@ impl Scheduler for GreedyGreen {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{BatteryView, JobColumns, JobView, PlanningModel};
+    use crate::policy::{JobColumns, JobView, PlanningModel, SiteView};
     use gm_sim::time::SimTime;
     use gm_sim::SlotClock;
     use gm_storage::ClusterSpec;
@@ -165,20 +165,23 @@ mod tests {
     }
 
     impl OwnedCtx {
-        fn as_ctx(&self) -> SchedContext<'_> {
-            SchedContext {
+        /// Ask `policy` to decide this one-site context.
+        fn decide(&self, policy: &mut impl Scheduler) -> Decision {
+            let home = [SiteView {
+                green_forecast_wh: &self.green,
+                model: PlanningModel::from_spec(&ClusterSpec::small()),
+                wan_cost_per_unit: 0,
+            }];
+            policy.decide(&SchedContext {
                 slot: 12,
                 now: SimTime::from_hours(12),
                 clock: SlotClock::hourly(),
-                green_forecast_wh: &self.green,
+                sites: &home,
                 interactive_busy_secs: &self.busy,
                 jobs: &self.jobs,
-                battery: BatteryView::default(),
-                model: PlanningModel::from_spec(&ClusterSpec::small()),
                 writelog_pending_bytes: 0,
                 grid: gm_energy::grid::Grid::typical_eu(),
-                sites: &[],
-            }
+            })
         }
     }
 
@@ -199,17 +202,17 @@ mod tests {
     #[test]
     fn all_on_runs_everything_at_max_gears() {
         let c = ctx(0.0, vec![job(1, 10, 20, false), job(2, 5, 15, false)]);
-        let d = AllOn.decide(&c.as_ctx());
+        let d = c.decide(&mut AllOn);
         assert_eq!(d.gears, 3);
         assert_eq!(d.total_batch_bytes(), 15 << 30, "all pending fits easily");
         // EDF order: job 2 (deadline 15) first.
-        assert_eq!(d.batch_bytes[0].0, JobId(2));
+        assert_eq!(d.placements[0], (0, JobId(2), 5 << 30));
     }
 
     #[test]
     fn power_prop_uses_min_gears_when_light() {
         let c = ctx(0.0, vec![job(1, 1, 20, false)]);
-        let d = PowerProportional.decide(&c.as_ctx());
+        let d = c.decide(&mut PowerProportional);
         assert_eq!(d.gears, 1, "light load fits one gear");
         assert_eq!(d.total_batch_bytes(), 1 << 30);
     }
@@ -218,14 +221,14 @@ mod tests {
     fn power_prop_raises_gears_for_heavy_backlog() {
         // One gear slot capacity ≈ 1.6 TB; ask for 5 TB.
         let c = ctx(0.0, vec![job(1, 5 * 1024, 20, false)]);
-        let d = PowerProportional.decide(&c.as_ctx());
+        let d = c.decide(&mut PowerProportional);
         assert!(d.gears >= 2, "backlog forces gear-up, got {}", d.gears);
     }
 
     #[test]
     fn greedy_green_defers_without_surplus() {
         let c = ctx(0.0, vec![job(1, 10, 20, false)]);
-        let d = GreedyGreen.decide(&c.as_ctx());
+        let d = c.decide(&mut GreedyGreen);
         assert_eq!(d.gears, 1);
         assert_eq!(d.total_batch_bytes(), 0, "no green, no deadline pressure ⇒ defer");
         assert_eq!(d.reclaim_budget_bytes, 0);
@@ -234,7 +237,7 @@ mod tests {
     #[test]
     fn greedy_green_runs_critical_even_brown() {
         let c = ctx(0.0, vec![job(1, 2, 12, true)]);
-        let d = GreedyGreen.decide(&c.as_ctx());
+        let d = c.decide(&mut GreedyGreen);
         assert_eq!(d.total_batch_bytes(), 2 << 30, "deadline overrides greenness");
     }
 
@@ -243,7 +246,7 @@ mod tests {
         // Plenty of green: idle floor at 1 gear ≈ 284 Wh; give 3 kWh, and
         // more pending work (4 TiB) than one gear's slot capacity.
         let c = ctx(3_000.0, vec![job(1, 4 * 1024, 20, false)]);
-        let d = GreedyGreen.decide(&c.as_ctx());
+        let d = c.decide(&mut GreedyGreen);
         assert!(d.total_batch_bytes() > 0, "surplus funds deferred work");
         assert!(d.gears >= 2, "surplus also pays for gear-up, got {}", d.gears);
         assert_eq!(d.reclaim_budget_bytes, u64::MAX);
@@ -252,10 +255,10 @@ mod tests {
     #[test]
     fn edf_matches_power_prop_gears() {
         let c = ctx(0.0, vec![job(1, 3, 20, false), job(2, 3, 5, false)]);
-        let a = PowerProportional.decide(&c.as_ctx());
-        let b = EdfPolicy.decide(&c.as_ctx());
+        let a = c.decide(&mut PowerProportional);
+        let b = c.decide(&mut EdfPolicy);
         assert_eq!(a.gears, b.gears);
-        assert_eq!(a.batch_bytes, b.batch_bytes);
+        assert_eq!(a.placements, b.placements);
     }
 
     #[test]

@@ -385,7 +385,7 @@ impl Matcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{BatteryView, SiteView};
+    use crate::policy::SiteView;
     use gm_storage::ClusterSpec;
     use gm_workload::JobId;
 
@@ -417,11 +417,9 @@ mod tests {
             .iter()
             .enumerate()
             .map(|(i, f)| SiteView {
-                site: i,
                 green_forecast_wh: f,
                 model: model(),
                 wan_cost_per_unit: if i == 0 { 0 } else { wan_cost_per_unit },
-                battery: BatteryView::default(),
             })
             .collect()
     }

@@ -3,18 +3,18 @@
 //! Serves the interactive requests on the home site in one
 //! `Cluster::serve_batch` pass (recording latency into the scratch's
 //! per-slot histogram, then bucket-merging it into the global one), then
-//! executes the decision's batch entries in decision order: home
-//! placements first, then each remote site's, grouped by site index. Each
-//! entry is capped by the job's remaining bytes at that point (so a job
-//! placed at several sites runs at most what it has left), spread across
-//! the site's active disks (repair jobs write onto their replacement
-//! disk) and settled on the job at once. The home site's write-log
-//! reclaim budget runs after the home entries. Returns the batch bytes
-//! executed (all sites).
+//! walks the sites in one inline loop, home first, and runs each site's
+//! entries of the decision's placement list in list order. Each entry is
+//! capped by the job's remaining bytes at that point (so a job placed at
+//! several sites runs at most what it has left), spread across the site's
+//! active disks (repair jobs write onto their replacement disk) and
+//! settled on the job at once. The home site's write-log reclaim budget
+//! runs after the home entries. Returns the batch bytes executed (all
+//! sites).
 //!
-//! Sites are walked in one inline loop: sites share nothing, so each
-//! cluster sees the same operation sequence whatever order the sites run
-//! in, and job settlement follows decision order.
+//! Sites share nothing, so each cluster sees the same operation sequence
+//! whatever order the sites run in; the placement list groups entries by
+//! site, home first, so job settlement follows list order.
 
 use super::{SlotContext, SlotScratch};
 use crate::policy::Decision;
@@ -50,19 +50,11 @@ pub(crate) fn run(
         }
         let active = &scratch.active_disks;
         let mut executed = 0u64;
-        if site_idx == 0 {
-            for (job_id, bytes) in &decision.batch_bytes {
-                executed += perform_entry(sim, active, 0, job_id, *bytes, now);
-            }
-            if decision.reclaim_budget_bytes > 0 {
-                sim.sites[0].cluster.reclaim(decision.reclaim_budget_bytes, now);
-            }
-        } else {
-            for (s, job_id, bytes) in &decision.remote_batch_bytes {
-                if *s == site_idx {
-                    executed += perform_entry(sim, active, site_idx, job_id, *bytes, now);
-                }
-            }
+        for (_, job_id, bytes) in decision.placements.iter().filter(|(s, _, _)| *s == site_idx) {
+            executed += perform_entry(sim, active, site_idx, job_id, *bytes, now);
+        }
+        if site_idx == 0 && decision.reclaim_budget_bytes > 0 {
+            sim.sites[0].cluster.reclaim(decision.reclaim_budget_bytes, now);
         }
         sim.sites[site_idx].executed_batch_bytes += executed;
         scratch.site_executed_bytes.push(executed);
@@ -206,10 +198,13 @@ mod tests {
         let repair_part = rebuild / 2;
         let decision = Decision {
             gears: 1,
-            batch_bytes: vec![(job, home_bytes), (repair, repair_part)],
+            placements: vec![
+                (0, job, home_bytes),
+                (0, repair, repair_part),
+                (1, job, 10 * home_bytes),
+            ],
             reclaim_budget_bytes: 0,
             infeasible_bytes: 0,
-            remote_batch_bytes: vec![(1, job, 10 * home_bytes)],
         };
         let cursors: Vec<usize> = sim.sites.iter().map(|s| s.rr_cursor).collect();
         let spinups = sim.sites[0].cluster.disk_spinups(failed);

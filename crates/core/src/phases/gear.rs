@@ -3,9 +3,9 @@
 //! Clamps the requested gear count to the physical range, shifts the home
 //! cluster (spinning disks up or down), and records the gear series.
 //! Remote sites gear to the smallest level whose batch capacity fits the
-//! bytes the decision placed there (they serve no interactive load, so
-//! there is nothing else to keep disks spinning for). Returns the home
-//! gear level actually powered.
+//! bytes the decision's placement list puts there (they serve no
+//! interactive load, so there is nothing else to keep disks spinning
+//! for). Returns the home gear level actually powered.
 
 use super::SlotContext;
 use crate::policy::Decision;
@@ -19,8 +19,7 @@ pub(crate) fn run(sim: &mut Simulation, ctx: &SlotContext, decision: &Decision) 
 
     let slot_secs = ctx.width.as_secs_f64();
     for (i, site) in sim.sites.iter_mut().enumerate().skip(1) {
-        let placed: u64 =
-            decision.remote_batch_bytes.iter().filter(|(s, _, _)| *s == i).map(|(_, _, b)| b).sum();
+        let placed = decision.site_bytes(i);
         let mut g = 1;
         while g < site.model.gears && site.model.batch_capacity_bytes(g, 0.0, slot_secs) < placed {
             g += 1;

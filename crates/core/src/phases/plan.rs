@@ -1,58 +1,38 @@
 //! Phase 3 — Plan: the policy decision.
 //!
 //! Assembles the [`SchedContext`] as borrowed views over the scratch
-//! buffers the earlier phases filled (no copies, no allocation) and asks
-//! the policy to decide the slot.
+//! buffers the earlier phases filled: one [`SiteView`] per site, home
+//! first (each site's green forecast and planning model, and the WAN cost
+//! of placing work there), the home site's expected interactive load, the
+//! pending jobs and the write-log backlog. Then asks the policy to decide
+//! the slot.
 
 use super::{SlotContext, SlotScratch};
-use crate::policy::{BatteryView, Decision, SchedContext, SiteView};
-use crate::simulation::{Simulation, SiteState};
-
-fn battery_view(site: &SiteState, ctx: &SlotContext) -> BatteryView {
-    BatteryView {
-        stored_wh: site.battery.stored_wh(),
-        headroom_wh: site.battery.headroom_wh(),
-        efficiency: site.battery.spec().efficiency,
-        charge_capacity_wh: site.battery.charge_capacity_wh(ctx.width),
-        discharge_capacity_wh: site.battery.discharge_capacity_wh(ctx.width),
-    }
-}
+use crate::policy::{Decision, SchedContext, SiteView};
+use crate::simulation::Simulation;
 
 pub(crate) fn run(sim: &mut Simulation, ctx: &SlotContext, scratch: &SlotScratch) -> Decision {
-    let home = &sim.sites[0];
-    let battery = battery_view(home, ctx);
-
-    // Per-site views, home first, only when there is more than one site
-    // (`Vec::new()` does not allocate, so the single-site plan path stays
-    // allocation-free).
-    let site_views: Vec<SiteView<'_>> = if sim.sites.len() > 1 {
-        sim.sites
-            .iter()
-            .enumerate()
-            .map(|(i, site)| SiteView {
-                site: i,
-                green_forecast_wh: &scratch.green_forecast_wh[i],
-                model: site.model,
-                wan_cost_per_unit: if i == 0 { 0 } else { sim.cfg.wan_cost_per_unit },
-                battery: battery_view(site, ctx),
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
+    let sites: Vec<SiteView<'_>> = sim
+        .sites
+        .iter()
+        .zip(&scratch.green_forecast_wh)
+        .enumerate()
+        .map(|(i, (site, forecast))| SiteView {
+            green_forecast_wh: forecast,
+            model: site.model,
+            wan_cost_per_unit: if i == 0 { 0 } else { sim.cfg.wan_cost_per_unit },
+        })
+        .collect();
 
     let sched = SchedContext {
         slot: ctx.slot,
         now: ctx.now,
         clock: ctx.clock,
-        green_forecast_wh: &scratch.green_forecast_wh[0],
+        sites: &sites,
         interactive_busy_secs: &scratch.interactive_busy_secs,
         jobs: &scratch.jobs,
-        battery,
-        model: home.model,
-        writelog_pending_bytes: home.cluster.write_log().pending_total(),
+        writelog_pending_bytes: sim.sites[0].cluster.write_log().pending_total(),
         grid: sim.cfg.energy.grid,
-        sites: &site_views,
     };
     sim.policy.decide(&sched)
 }

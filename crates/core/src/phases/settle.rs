@@ -16,7 +16,7 @@ use gm_energy::ledger::SlotFlows;
 pub(crate) struct Settled {
     /// Aggregate flows across sites (for one site: that site's, exactly).
     pub energy: EnergyFlows,
-    /// Per-site flows, index = site. Empty for single-site runs.
+    /// Per-site flows, index = site.
     pub site_energy: Vec<EnergyFlows>,
     pub jobs_completed: usize,
     pub deadline_misses: usize,
@@ -62,7 +62,7 @@ fn settle_site(
             if (17.0..23.0).contains(&hour) {
                 deficit // the peak may spend the reserve
             } else {
-                let reserve = site.battery.spec().usable_wh() * frac.clamp(0.0, 1.0);
+                let reserve = site.battery.spec().usable_wh() * frac;
                 deficit.min((site.battery.stored_wh() - reserve).max(0.0))
             }
         }
@@ -100,7 +100,6 @@ fn settle_site(
 
 pub(crate) fn run(sim: &mut Simulation, ctx: &SlotContext) -> Settled {
     let discharge = sim.cfg.energy.discharge;
-    let multi_site = sim.sites.len() > 1;
 
     // Settle every site; aggregate flows sum exactly to the home site's
     // for single-site runs (each sum starts at zero and adds one term).
@@ -113,10 +112,7 @@ pub(crate) fn run(sim: &mut Simulation, ctx: &SlotContext) -> Settled {
         curtailed_wh: 0.0,
         load_wh: 0.0,
     };
-    let mut site_energy = Vec::new();
-    if multi_site {
-        site_energy.reserve(sim.sites.len());
-    }
+    let mut site_energy = Vec::with_capacity(sim.sites.len());
     for site in &mut sim.sites {
         let flows = settle_site(site, ctx, discharge);
         energy.green_produced_wh += flows.green_produced_wh;
@@ -126,9 +122,7 @@ pub(crate) fn run(sim: &mut Simulation, ctx: &SlotContext) -> Settled {
         energy.grid_wh += flows.grid_wh;
         energy.curtailed_wh += flows.curtailed_wh;
         energy.load_wh += flows.load_wh;
-        if multi_site {
-            site_energy.push(flows);
-        }
+        site_energy.push(flows);
     }
 
     // Retire completed jobs (each counted exactly once: completed jobs

@@ -83,19 +83,6 @@ pub struct AdmissionReport {
     pub pending_at_end: usize,
 }
 
-impl AdmissionReport {
-    /// Fraction of gated jobs the gate turned away (rejected over
-    /// accepted + rejected; deferrals resolve into one or the other).
-    pub fn rejection_rate(&self) -> f64 {
-        let decided = self.accepted + self.rejected;
-        if decided == 0 {
-            0.0
-        } else {
-            self.rejected as f64 / decided as f64
-        }
-    }
-}
-
 /// Per-site energy breakdown of a multi-site run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SiteReport {

@@ -222,8 +222,8 @@ impl WorldCache {
     /// Materialise `cfg`'s world, reusing every component already built
     /// under the same key.
     ///
-    /// The config ([`ExperimentConfig::validate`]) and its workload section
-    /// are checked before anything builds. Components build in the order layouts,
+    /// The config is checked ([`ExperimentConfig::validate`]) before
+    /// anything builds. Components build in the order layouts,
     /// workload, traces, so a missing trace file surfaces only after the
     /// cluster and workload build.
     ///
@@ -234,15 +234,6 @@ impl WorldCache {
         cfg.validate()?;
         let site_cfgs = cfg.site_configs();
         let invalid = |message: String| ConfigError::Invalid { message };
-        cfg.workload.validate().map_err(|e| invalid(e.to_string()))?;
-        let (objects, home_objects) =
-            (cfg.workload.interactive.objects, site_cfgs[0].cluster.objects);
-        if objects > home_objects {
-            return Err(invalid(format!(
-                "workload spec: interactive.objects = {objects} exceeds the home cluster's \
-                 {home_objects} objects"
-            )));
-        }
         let layouts = site_cfgs
             .iter()
             .map(|site| {

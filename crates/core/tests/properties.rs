@@ -5,7 +5,7 @@ use gm_storage::ClusterSpec;
 use gm_workload::JobId;
 use greenmatch::matcher::{MatchInput, Matcher, UNIT_BYTES};
 use greenmatch::mincostflow::MinCostFlow;
-use greenmatch::policy::{edf_fill, BatteryView, JobView, PlanningModel, SiteView};
+use greenmatch::policy::{edf_fill, JobView, PlanningModel, SiteView};
 use proptest::prelude::*;
 
 /// Brute-force minimum cost for a 2-supplier × 2-consumer transportation
@@ -98,7 +98,7 @@ proptest! {
             .collect();
         let h = green_slots.len();
         let busy_vec = vec![busy; h];
-        let home = [SiteView::home(&green_slots, model, BatteryView::default())];
+        let home = [SiteView { green_forecast_wh: &green_slots, model, wan_cost_per_unit: 0 }];
         let input = MatchInput {
             jobs: &views,
             current_slot: 0,
@@ -148,7 +148,7 @@ proptest! {
         let busy = vec![0.0; 6];
         let run = |green: f64| {
             let g = vec![green; 6];
-            let home = [SiteView::home(&g, model, BatteryView::default())];
+            let home = [SiteView { green_forecast_wh: &g, model, wan_cost_per_unit: 0 }];
             let input = MatchInput {
                 jobs: &views,
                 current_slot: 0,
@@ -180,9 +180,10 @@ proptest! {
             })
             .collect();
         let fill = edf_fill(&views.clone().into(), capacity);
-        let total: u64 = fill.iter().map(|(_, b)| b).sum();
+        let total: u64 = fill.iter().map(|(_, _, b)| b).sum();
         prop_assert!(total <= capacity);
-        for (id, bytes) in &fill {
+        for (site, id, bytes) in &fill {
+            prop_assert_eq!(*site, 0, "EDF fills the home site");
             let j = views.iter().find(|j| j.id == *id).expect("filled job exists");
             prop_assert!(*bytes <= j.remaining_bytes);
             prop_assert!(*bytes > 0, "no empty assignments");
@@ -190,7 +191,7 @@ proptest! {
         // EDF order: deadlines non-decreasing along the fill.
         let deadlines: Vec<usize> = fill
             .iter()
-            .map(|(id, _)| views.iter().find(|j| j.id == *id).expect("exists").deadline_slot)
+            .map(|(_, id, _)| views.iter().find(|j| j.id == *id).expect("exists").deadline_slot)
             .collect();
         prop_assert!(deadlines.windows(2).all(|w| w[0] <= w[1]));
     }

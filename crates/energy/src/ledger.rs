@@ -252,16 +252,6 @@ impl EnergyLedger {
         &self.battery_out
     }
 
-    /// Per-slot green-direct series (Wh/slot).
-    pub fn green_direct_series(&self) -> &TimeSeries {
-        &self.green_direct
-    }
-
-    /// Per-slot battery-drawn (source-side charge) series (Wh/slot).
-    pub fn battery_drawn_series(&self) -> &TimeSeries {
-        &self.battery_drawn
-    }
-
     /// The recorded flows of slot `s`, reassembled from the per-slot
     /// series (zeros for a slot that was never recorded). Lets an external
     /// audit re-check the conservation identities per slot after the run,

@@ -1540,28 +1540,6 @@ impl Cluster {
         replayed
     }
 
-    /// Queueing backlog (service debt) of `disk` at `now`.
-    pub fn backlog_of(&self, disk: DiskIdx, now: SimTime) -> SimDuration {
-        self.queues[disk].backlog_at(now)
-    }
-
-    /// Mean queue backlog (seconds) across currently-available disks.
-    pub fn mean_active_backlog_secs(&self, now: SimTime) -> f64 {
-        let mut sum = 0.0;
-        let mut n = 0usize;
-        for d in 0..self.disks.len() {
-            if self.available[d] {
-                sum += self.queues[d].backlog_at(now).as_secs_f64();
-                n += 1;
-            }
-        }
-        if n == 0 {
-            0.0
-        } else {
-            sum / n as f64
-        }
-    }
-
     /// Integrate one slot ending at `slot_end` of width `width`.
     pub fn end_slot(&mut self, slot_end: SimTime, width: SimDuration) -> SlotEnergy {
         let topo = self.layout.spec.topology;

@@ -57,22 +57,6 @@ impl Placement {
             Placement::Erasure { shards, .. } => shards,
         }
     }
-
-    /// Raw bytes consumed on disk for an object of `size_bytes`.
-    pub fn stored_bytes(&self, size_bytes: u64) -> u64 {
-        match self {
-            Placement::Replicated { replicas } => replicas.len() as u64 * size_bytes,
-            Placement::Erasure { k, m, .. } => (*k + *m) as u64 * size_bytes.div_ceil(*k as u64),
-        }
-    }
-
-    /// How many disk losses this placement tolerates without data loss.
-    pub fn fault_tolerance(&self) -> usize {
-        match self {
-            Placement::Replicated { replicas } => replicas.len().saturating_sub(1),
-            Placement::Erasure { m, .. } => *m,
-        }
-    }
 }
 
 impl DataObject {
