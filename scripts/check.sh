@@ -15,6 +15,9 @@ cargo test --workspace -q
 echo "==> golden trace gate (committed goldens, byte for byte)"
 cargo test -q --test telemetry golden
 
+echo "==> config gate (typed errors for values that panicked a build or a run; never-panics proptest)"
+cargo test -q --test config_gate config_gate
+
 echo "==> serve-kernel equivalence gate (serve_batch vs per-request oracle)"
 cargo test -q -p gm-storage serve_kernel_equivalence
 
