@@ -32,10 +32,11 @@
 //!   instants). Built once by the step driver; phases only read it.
 //! * [`SlotScratch`] — reusable buffers written by earlier phases and read
 //!   by later ones. The caller owns it and passes the same instance to
-//!   every step, so the steady-state loop performs **no heap allocation**:
-//!   each buffer is `clear()`ed (capacity retained) and refilled. All
-//!   allocation happens during the first few slots while the buffers grow
-//!   to their high-water marks.
+//!   every step, so the steady-state loop allocates no bulk buffers: each
+//!   buffer is `clear()`ed (capacity retained) and refilled, and grows
+//!   only during the first few slots, to its high-water mark. What a slot
+//!   still allocates is small: the decision's placement list, Plan's site
+//!   list and Settle's per-site flows.
 //!
 //! Each phase also mutates its slice of the [`crate::simulation::Simulation`]
 //! state (cluster, battery, ledger, job table); the phase boundaries are
@@ -83,7 +84,7 @@ pub struct SlotContext {
 /// simulations run back to back (see
 /// [`crate::simulation::SimulationBuilder::scratch`]): every phase clears
 /// the buffers it fills before refilling them, so capacity is retained and
-/// the steady-state slot loop allocates nothing. Contents are only
+/// the steady-state slot loop allocates none of them. Contents are only
 /// meaningful between the phase that writes a buffer and the end of the
 /// slot; callers should treat a scratch as opaque state between steps.
 #[derive(Debug, Clone)]
